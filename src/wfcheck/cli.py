@@ -136,7 +136,10 @@ def cmd_parse(args: argparse.Namespace, _invocation: tuple[str, ...]) -> int:
 def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
     scenario = _read_scenario(args.file)
     rules = it.RuleSet(args.rules)
-    result = it.run(scenario, rules, seed=args.seed)
+    try:
+        result = it.run(scenario, rules, seed=args.seed)
+    except it.ConcurrencyError as exc:
+        raise _Failure(EXIT_USAGE, f"{args.file}: {exc}") from exc
     joint = it.exact_joint(scenario, rules)
     keys = it.outcome_keys(scenario)
     payload: dict[str, Any] = {

@@ -18,12 +18,16 @@ The engine runs a scenario timeline three ways:
 Internally a run is a tree of branches.  A branch carries the global
 state (projected only by collapsing events), the ledger facts sampled so
 far, bound results, and a weight equal to the joint probability of that
-history.  Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born
-rule on the branch state conditioned on earlier facts of agents sharing
-a conditioning pool (a ``partition`` event groups agents into pools;
-the default pool is the agent alone).  Conditioning projects record
-pointer values and is well defined as long as those records have not
-been disturbed since.
+history.  Compilation lays out each event group once (its events, its
+interactions, and the unitaries that act before any outcome is drawn)
+and checks there that concurrent events commute.  Every group then
+expands through one routine, a single event being a group of one.
+Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born rule on
+the branch state conditioned on facts from earlier groups of agents
+sharing a conditioning pool (a ``partition`` event groups agents into
+pools; the default pool is the agent alone).  Conditioning projects
+record pointer values and is well defined as long as those records have
+not been disturbed since.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
 enumerate every branch exactly (capped at ``BRANCH_LIMIT``), and
@@ -112,12 +116,6 @@ class RelativeFactLedger:
                 return e.outcome
         raise KeyError(f"no ledger entry for record {record!r}")
 
-    def has(self, record: str) -> bool:
-        return any(e.observable == record for e in self.entries)
-
-    def entries_for(self, holder: str) -> tuple[LedgerEntry, ...]:
-        return tuple(e for e in self.entries if e.agent == holder)
-
 
 @dataclass(frozen=True)
 class PinRecord:
@@ -157,7 +155,7 @@ class RunResult:
 @dataclass(frozen=True)
 class _CPrepare:
     index: int
-    injection: qcore.Unitary
+    unitary: qcore.Unitary
 
 
 @dataclass(frozen=True)
@@ -198,12 +196,21 @@ _CEvent = Union[_CPrepare, _CInteract, _CMeasure, _CRead, _CPartition]
 
 
 @dataclass(frozen=True)
+class _Group:
+    """One event group as the branch engine expands it."""
+
+    events: tuple[_CEvent, ...]
+    unitaries: tuple[qcore.Unitary, ...]  # all act before any outcome is drawn
+    interacts: tuple[_CInteract, ...]
+
+
+@dataclass(frozen=True)
 class _Compiled:
     scenario: sc.Scenario
     layout: qcore.SpaceLayout
     initial: qcore.StateVector
     events: tuple[_CEvent, ...]
-    groups: tuple[tuple[int, ...], ...]
+    groups: tuple[_Group, ...]
     readout_specs: dict[str, qcore.BasisSpec]  # record key -> pointer readout
     record_owner: dict[str, str]
     intact_records: frozenset[str]  # written records no later event measures or reads
@@ -261,11 +268,15 @@ def _pointer_readout(key: str, dim: int, writer_labels: tuple[Label, ...]) -> qc
     return qcore.BasisSpec(((key, dim),), np.eye(dim, dtype=complex), tuple(labels))
 
 
-def _compile(s: sc.Scenario) -> _Compiled:
+def _require_valid(s: sc.Scenario) -> None:
     diags = sc.validate(s)
     if diags:
         msgs = "; ".join(f"event {d.event_index}: {d.reason}" for d in diags)
         raise ValueError(f"scenario {s.name!r} does not validate: {msgs}")
+
+
+def _compile(s: sc.Scenario) -> _Compiled:
+    _require_valid(s)
     layout = sc.layout_of(s)
     dims = dict(layout.subsystems)
 
@@ -313,12 +324,19 @@ def _compile(s: sc.Scenario) -> _Compiled:
         else:
             events.append(_CPartition(i, ev.groups))
 
-    groups: list[tuple[int, ...]] = []
-    for i, ev in enumerate(s.timeline):
-        if getattr(ev, "concurrent", False) and groups:
-            groups[-1] = groups[-1] + (i,)
+    grouped: list[tuple[_CEvent, ...]] = []
+    for ev, raw in zip(events, s.timeline):
+        if getattr(raw, "concurrent", False) and grouped:
+            grouped[-1] += (ev,)
         else:
-            groups.append((i,))
+            grouped.append((ev,))
+    groups: list[_Group] = []
+    for evs in grouped:
+        if len(evs) > 1:
+            _check_commuting(layout, evs)
+        unitaries = tuple(ev.unitary for ev in evs if isinstance(ev, (_CPrepare, _CInteract)))
+        interacts = tuple(ev for ev in evs if isinstance(ev, _CInteract))
+        groups.append(_Group(evs, unitaries, interacts))
 
     # a fact can condition its holder's perspective only while the record
     # subsystem stays untouched by stable events after its write
@@ -362,10 +380,9 @@ def _condition_on_facts(
     branch: _Branch,
     members: frozenset[str],
     comp: _Compiled,
-    exclude: frozenset[str],
 ) -> qcore.StateVector:
     for key, value in branch.facts:
-        if key in exclude or comp.record_owner[key] not in members:
+        if comp.record_owner[key] not in members:
             continue
         try:
             state = qcore.project(state, comp.readout_specs[key], value)
@@ -382,38 +399,6 @@ def _distribution(state: qcore.StateVector, spec: qcore.BasisSpec) -> list[tuple
     return [(label, p) for label, p in dist.items() if p > qcore.PROB_EPS]
 
 
-def _interact_children(
-    comp: _Compiled,
-    ev: _CInteract,
-    branch: _Branch,
-    rules: RuleSet,
-    pools: dict[str, frozenset[str]],
-) -> list[_Branch]:
-    state = qcore.apply_local(branch.state, ev.unitary)
-    if rules.collapses_on_interact:
-        out = []
-        for label, p in _distribution(state, ev.readout):
-            out.append(replace(
-                branch,
-                state=qcore.project(state, ev.readout, label),
-                weight=branch.weight * p,
-                facts=branch.facts + ((ev.record, label),),
-                entries=branch.entries + _fact_entries(ev, label, rules),
-            ))
-        return out
-    conditioned = _condition_on_facts(state, branch, _pool_of(pools, ev.agent), comp, frozenset())
-    out = []
-    for label, p in _distribution(conditioned, ev.readout):
-        out.append(replace(
-            branch,
-            state=state,
-            weight=branch.weight * p,
-            facts=branch.facts + ((ev.record, label),),
-            entries=branch.entries + _fact_entries(ev, label, rules),
-        ))
-    return out
-
-
 def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerEntry, ...]:
     entries = (LedgerEntry(ev.index, ev.agent, ev.record, label),)
     if rules.fact_holder == "both":
@@ -421,7 +406,7 @@ def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerE
     return entries
 
 
-def _stable_children(ev: _CMeasure, branch: _Branch) -> list[_Branch]:
+def _stable_children(ev: Union[_CMeasure, _CRead], branch: _Branch) -> list[_Branch]:
     out = []
     for label, p in _distribution(branch.state, ev.spec):
         out.append(replace(
@@ -433,42 +418,32 @@ def _stable_children(ev: _CMeasure, branch: _Branch) -> list[_Branch]:
     return out
 
 
-def _read_children(ev: _CRead, branch: _Branch, rules: RuleSet) -> list[_Branch]:
-    if rules.pins_reads and ev.pinnable:
-        value = branch.fact(ev.record)
-        dist = dict(qcore.born_distribution(branch.state, ev.spec))
-        p = float(dist.get(value, 0.0))
-        if p <= qcore.PROB_EPS:
-            pin = PinRecord(ev.index, ev.observer, ev.record, value, p, True)
-            note = (
-                f"event {ev.index}: cross-perspective link forces {ev.result}={value!r} "
-                f"on record {ev.record!r}, an outcome of probability {p:.3g}"
-            )
-            return [replace(
-                branch,
-                results=branch.results + ((ev.result, value),),
-                pins=branch.pins + (pin,),
-                anomalies=branch.anomalies + (note,),
-            )]
-        pin = PinRecord(ev.index, ev.observer, ev.record, value, p, False)
-        return [replace(
+def _pinned_child(ev: _CRead, branch: _Branch) -> _Branch:
+    value = branch.fact(ev.record)
+    dist = dict(qcore.born_distribution(branch.state, ev.spec))
+    p = float(dist.get(value, 0.0))
+    if p <= qcore.PROB_EPS:
+        pin = PinRecord(ev.index, ev.observer, ev.record, value, p, True)
+        note = (
+            f"event {ev.index}: cross-perspective link forces {ev.result}={value!r} "
+            f"on record {ev.record!r}, an outcome of probability {p:.3g}"
+        )
+        return replace(
             branch,
-            state=qcore.project(branch.state, ev.spec, value),
             results=branch.results + ((ev.result, value),),
             pins=branch.pins + (pin,),
-        )]
-    out = []
-    for label, p in _distribution(branch.state, ev.spec):
-        out.append(replace(
-            branch,
-            state=qcore.project(branch.state, ev.spec, label),
-            weight=branch.weight * p,
-            results=branch.results + ((ev.result, label),),
-        ))
-    return out
+            anomalies=branch.anomalies + (note,),
+        )
+    pin = PinRecord(ev.index, ev.observer, ev.record, value, p, False)
+    return replace(
+        branch,
+        state=qcore.project(branch.state, ev.spec, value),
+        results=branch.results + ((ev.result, value),),
+        pins=branch.pins + (pin,),
+    )
 
 
-def _support(comp: _Compiled, ev: _CEvent) -> tuple[str, ...]:
+def _support(ev: _CEvent) -> tuple[str, ...]:
     if isinstance(ev, _CInteract):
         return ev.unitary.layout.ids
     if isinstance(ev, (_CMeasure, _CRead)):
@@ -476,7 +451,7 @@ def _support(comp: _Compiled, ev: _CEvent) -> tuple[str, ...]:
     return ()
 
 
-def _operators(comp: _Compiled, ev: _CEvent) -> list[tuple[np.ndarray, tuple[str, ...]]]:
+def _operators(ev: _CEvent) -> list[tuple[np.ndarray, tuple[str, ...]]]:
     if isinstance(ev, _CInteract):
         return [(ev.unitary.matrix, ev.unitary.layout.ids)]
     spec = ev.spec
@@ -495,16 +470,16 @@ def _embed(mat: np.ndarray, ids: tuple[str, ...], union: tuple[str, ...], dims: 
     return tensor.reshape(total, total)
 
 
-def _check_commuting(comp: _Compiled, evs: list[_CEvent]) -> None:
-    dims = dict(comp.layout.subsystems)
+def _check_commuting(layout: qcore.SpaceLayout, evs: tuple[_CEvent, ...]) -> None:
+    dims = dict(layout.subsystems)
     for a, b in itertools.combinations(evs, 2):
-        sa, sb = set(_support(comp, a)), set(_support(comp, b))
+        sa, sb = set(_support(a)), set(_support(b))
         if not (sa & sb):
             continue
-        union = tuple(i for i in comp.layout.ids if i in (sa | sb))
-        for ma, ida in _operators(comp, a):
+        union = tuple(i for i in layout.ids if i in (sa | sb))
+        for ma, ida in _operators(a):
             fa = _embed(ma, ida, union, dims)
-            for mb, idb in _operators(comp, b):
+            for mb, idb in _operators(b):
                 fb = _embed(mb, idb, union, dims)
                 if np.max(np.abs(fa @ fb - fb @ fa)) > CONCURRENCY_ATOL:
                     raise ConcurrencyError(
@@ -514,39 +489,20 @@ def _check_commuting(comp: _Compiled, evs: list[_CEvent]) -> None:
 
 def _expand_group(
     comp: _Compiled,
-    group: tuple[int, ...],
+    group: _Group,
     branch: _Branch,
     rules: RuleSet,
     pools: dict[str, frozenset[str]],
 ) -> list[_Branch]:
-    evs = [comp.events[i] for i in group]
-    if len(evs) == 1:
-        ev = evs[0]
-        if isinstance(ev, _CPrepare):
-            return [replace(branch, state=qcore.apply_local(branch.state, ev.injection))]
-        if isinstance(ev, _CPartition):
-            return [branch]
-        if isinstance(ev, _CInteract):
-            return _interact_children(comp, ev, branch, rules, pools)
-        if isinstance(ev, _CMeasure):
-            return _stable_children(ev, branch)
-        return _read_children(ev, branch, rules)
-
-    _check_commuting(comp, evs)
-    group_records = frozenset(ev.record for ev in evs if isinstance(ev, _CInteract))
-    # dynamics first: all entangling unitaries act before any outcome is drawn
+    # dynamics first: all unitaries act before any outcome is drawn
     state = branch.state
-    for ev in evs:
-        if isinstance(ev, _CInteract):
-            state = qcore.apply_local(state, ev.unitary)
-    children = [replace(branch, state=state)]
+    for u in group.unitaries:
+        state = qcore.apply_local(state, u)
+    children = [replace(branch, state=state)] if group.unitaries else [branch]
     if not rules.collapses_on_interact:
         # simultaneous facts: each conditional sees pre-group facts only
-        for ev in evs:
-            if not isinstance(ev, _CInteract):
-                continue
-            conditioned = _condition_on_facts(
-                state, branch, _pool_of(pools, ev.agent), comp, group_records)
+        for ev in group.interacts:
+            conditioned = _condition_on_facts(state, branch, _pool_of(pools, ev.agent), comp)
             dist = _distribution(conditioned, ev.readout)
             next_children = []
             for child in children:
@@ -558,7 +514,7 @@ def _expand_group(
                         entries=child.entries + _fact_entries(ev, label, rules),
                     ))
             children = next_children
-    for ev in evs:
+    for ev in group.events:
         if isinstance(ev, _CInteract):
             if rules.collapses_on_interact:
                 next_children = []
@@ -572,10 +528,10 @@ def _expand_group(
                             entries=child.entries + _fact_entries(ev, label, rules),
                         ))
                 children = next_children
-        elif isinstance(ev, _CMeasure):
+        elif isinstance(ev, _CRead) and ev.pinnable and rules.pins_reads:
+            children = [_pinned_child(ev, child) for child in children]
+        elif isinstance(ev, (_CMeasure, _CRead)):
             children = [c for child in children for c in _stable_children(ev, child)]
-        else:
-            children = [c for child in children for c in _read_children(ev, child, rules)]
     return children
 
 
@@ -584,7 +540,7 @@ def _execute(comp: _Compiled, rules: RuleSet, chooser=None) -> list[_Branch]:
     pools: dict[str, frozenset[str]] = {}
     branches = [_Branch(state=comp.initial, weight=1.0)]
     for group in comp.groups:
-        ev = comp.events[group[0]]
+        ev = group.events[0]
         if isinstance(ev, _CPartition):
             for members in ev.groups:
                 pool = frozenset(members)
@@ -651,21 +607,25 @@ def _observer_names(s: sc.Scenario) -> list[str]:
     return [a.name for a in s.agents] + [o.name for o in s.observers]
 
 
-def _branch_perspective(comp: _Compiled, branch: _Branch, name: str) -> PerspectiveState:
-    is_agent = any(a.name == name for a in comp.scenario.agents)
+def _agent_view(comp: _Compiled, branch: _Branch, name: str) -> tuple[qcore.StateVector, list[tuple[str, Label]]]:
+    """The branch state conditioned on the intact facts ``name`` holds, and those facts."""
     state = branch.state
-    knowledge: list[tuple[str, Label]] = []
-    if is_agent:
-        for key, value in branch.facts:
-            if comp.record_owner[key] == name and key in comp.intact_records:
-                # a stable collapse on an entangled partner can strip a
-                # relative fact of support; it stays known, but cannot
-                # steer the state
-                try:
-                    state = qcore.project(state, comp.readout_specs[key], value)
-                except qcore.ZeroProbabilityError:
-                    pass
-                knowledge.append((key, value))
+    held: list[tuple[str, Label]] = []
+    for key, value in branch.facts:
+        if comp.record_owner[key] == name and key in comp.intact_records:
+            # a stable collapse on an entangled partner can strip a
+            # relative fact of support; it stays known, but cannot
+            # steer the state
+            try:
+                state = qcore.project(state, comp.readout_specs[key], value)
+            except qcore.ZeroProbabilityError:
+                pass
+            held.append((key, value))
+    return state, held
+
+
+def _branch_perspective(comp: _Compiled, branch: _Branch, name: str) -> PerspectiveState:
+    state, knowledge = _agent_view(comp, branch, name)
     own_results = {
         ev.result for ev in comp.events
         if isinstance(ev, (_CMeasure, _CRead)) and ev.observer == name
@@ -752,9 +712,8 @@ def perspective(
     result names or record keys, fixing what the observer is taken to know.
     Returns a StateVector when the mixture is pure, else a DensityMatrix.
     """
-    comp = _compile(s)
-    names = _observer_names(s)
-    if observer not in names:
+    _require_valid(s)
+    if observer not in _observer_names(s):
         raise ValueError(f"unknown observer {observer!r}")
     n = len(s.timeline)
     if after is None:
@@ -780,19 +739,7 @@ def perspective(
     if not kept or total <= qcore.PROB_EPS:
         raise ValueError(f"no branch is compatible with {given!r}")
 
-    is_agent = any(a.name == observer for a in s.agents)
-    states: list[tuple[float, qcore.StateVector]] = []
-    for b in kept:
-        state = b.state
-        if is_agent:
-            for key, value in b.facts:
-                if tcomp.record_owner[key] == observer and key in tcomp.intact_records:
-                    try:
-                        state = qcore.project(state, tcomp.readout_specs[key], value)
-                    except qcore.ZeroProbabilityError:
-                        pass  # unsupported relative fact, same as _branch_perspective
-        states.append((b.weight / total, state))
-
+    states = [(b.weight / total, _agent_view(tcomp, b, observer)[0]) for b in kept]
     payload = _mixture(states)
     knowledge = _common_knowledge(kept, tcomp, observer, given)
     return PerspectiveState(observer, payload, knowledge)

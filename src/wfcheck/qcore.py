@@ -16,7 +16,7 @@ of a few thousand at most); nothing here is sparse or clever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -206,7 +206,6 @@ class BasisSpec:
 @dataclass(frozen=True, eq=False)
 class ObservableFactor:
     basis: BasisSpec
-    eigenvalues: Mapping[Label, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,13 +216,11 @@ class ObservableSpec:
     factors they are label tuples.  ``composition`` records whether the
     observable is meant as a product of separate readouts or as one single
     measurement of the joint eigenbasis; the induced distribution is the
-    same either way.  ``encoding`` optionally relabels outcome keys through
-    a bijection (see :func:`relabel`).
+    same either way.
     """
 
     factors: tuple[ObservableFactor, ...]
     composition: str = "product"
-    encoding: tuple[tuple[OutcomeKey, OutcomeKey], ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.factors:
@@ -236,16 +233,10 @@ class ObservableSpec:
                 if name in seen:
                     raise ValueError(f"observable factors overlap on subsystem {name!r}")
                 seen.add(name)
-        if self.encoding is not None:
-            raw = self.raw_outcomes()
-            keys = [k for k, _ in self.encoding]
-            vals = [v for _, v in self.encoding]
-            if sorted(map(repr, keys)) != sorted(map(repr, raw)) or len(set(map(repr, vals))) != len(vals):
-                raise ValueError("non-bijective relabel map over the outcome set")
 
     @classmethod
-    def single(cls, basis: BasisSpec, eigenvalues: Mapping[Label, float] | None = None) -> "ObservableSpec":
-        return cls(factors=(ObservableFactor(basis, eigenvalues),), composition="single")
+    def single(cls, basis: BasisSpec) -> "ObservableSpec":
+        return cls(factors=(ObservableFactor(basis),), composition="single")
 
     @classmethod
     def product(cls, factors: Sequence[ObservableFactor | BasisSpec]) -> "ObservableSpec":
@@ -266,35 +257,6 @@ class ObservableSpec:
         for f in self.factors:
             pools = [prev + [lab] for prev in pools for lab in f.basis.labels]
         return [tuple(p) for p in pools]
-
-    def outcomes(self) -> list[OutcomeKey]:
-        raw = self.raw_outcomes()
-        if self.encoding is None:
-            return raw
-        enc = dict(self.encoding)
-        return [enc[k] for k in raw]
-
-    def decode(self, outcome: OutcomeKey) -> OutcomeKey:
-        """Map a public outcome key back to the underlying label tuple."""
-        if self.encoding is None:
-            return outcome
-        for k, v in self.encoding:
-            if v == outcome:
-                return k
-        raise KeyError(f"unknown outcome {outcome!r}")
-
-    def eigenvalue(self, outcome: OutcomeKey) -> float:
-        raw = self.decode(outcome)
-        labels = (raw,) if len(self.factors) == 1 else raw
-        value = 1.0
-        for f, lab in zip(self.factors, labels):
-            if f.eigenvalues is not None:
-                value *= float(f.eigenvalues[lab])
-            elif isinstance(lab, (int, float)):
-                value *= float(lab)
-            else:
-                raise ValueError(f"label {lab!r} has no numeric eigenvalue")
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +362,13 @@ def born_distribution(s: StateVector, m: ObservableSpec | BasisSpec) -> dict[Out
     """Exact Born distribution of an observable, marginal over everything else."""
     m = _coerce_observable(m)
     positions, combos = _observable_parts(s, m)
-    enc = dict(m.encoding) if m.encoding is not None else None
     out: dict[OutcomeKey, float] = {}
     total = 0.0
     for key, vec in combos:
         residual = _contraction(s, positions, vec)
         p = float(np.vdot(residual, residual).real)
         total += p
-        out[enc[key] if enc is not None else key] = p
+        out[key] = p
     if abs(total - 1.0) > 100.0 * DEFAULT_ATOL:
         raise ValueError(f"Born distribution sums to {total!r}; observable does not resolve the state")
     return out
@@ -419,11 +380,10 @@ def project(s: StateVector, m: ObservableSpec | BasisSpec, outcome: OutcomeKey) 
     Raises :class:`ZeroProbabilityError` when the outcome carries no weight.
     """
     m = _coerce_observable(m)
-    raw = m.decode(outcome)
     positions, combos = _observable_parts(s, m)
     vec = None
     for key, v in combos:
-        if key == raw:
+        if key == outcome:
             vec = v
             break
     if vec is None:
@@ -545,52 +505,6 @@ def build_premeasurement(
         u += np.kron(np.outer(bj, bj.conj()), w)
     layout = SpaceLayout(tuple(b.targets) + ((record_id, d),))
     return Unitary(layout, u)
-
-
-# ---------------------------------------------------------------------------
-# relabelling
-
-def relabel(m: ObservableSpec, mapping: Mapping[OutcomeKey, OutcomeKey]) -> ObservableSpec:
-    """Relabel an observable's outcomes through a bijection."""
-    current = m.outcomes()
-    if sorted(map(repr, mapping.keys())) != sorted(map(repr, current)):
-        raise ValueError("relabel map must cover the outcome set exactly")
-    if len(set(map(repr, mapping.values()))) != len(mapping):
-        raise ValueError("relabel map is not injective")
-    raw = m.raw_outcomes()
-    old = dict(m.encoding) if m.encoding is not None else {k: k for k in raw}
-    return ObservableSpec(
-        factors=m.factors,
-        composition=m.composition,
-        encoding=tuple((k, mapping[old[k]]) for k in raw),
-    )
-
-
-def encode_bits(x: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Map a +-1 outcome tuple to bits via x_n = (-1)^(b_n) and pack to an integer.
-
-    The first entry is the least-significant bit: v = sum over n of 2^(n-1) b_n.
-    """
-    bits = []
-    for xi in x:
-        if xi == 1:
-            bits.append(0)
-        elif xi == -1:
-            bits.append(1)
-        else:
-            raise ValueError(f"entries must be +1 or -1, got {xi!r}")
-    v = sum(b << i for i, b in enumerate(bits))
-    return tuple(bits), v
-
-
-def integer_relabel_map(n: int) -> dict[tuple, int]:
-    """Bijection from +-1 outcome tuples of length n to packed integers."""
-    out: dict[tuple, int] = {}
-    for v in range(2 ** n):
-        bits = [(v >> i) & 1 for i in range(n)]
-        key = tuple(1 if b == 0 else -1 for b in bits)
-        out[key] = v
-    return out
 
 
 # ---------------------------------------------------------------------------

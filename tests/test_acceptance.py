@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wfcheck
 from wfcheck import checks, cli, qcore
 from wfcheck import interpret as it
 from wfcheck import scenario as sc
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = Path(wfcheck.__file__).parent / "scenarios"
 FIXTURES = ("epr", "cpl", "ghz")
 
 
@@ -176,15 +177,6 @@ def test_kernel_properties():
             assert set(got) == set(want)
             for key in want:
                 assert abs(got[key] - want[key]) <= 1e-10
-
-        # sign-tuple integer encoding is the stated bijection
-        mapping = qcore.integer_relabel_map(3)
-        assert sorted(mapping.values()) == list(range(8))
-        for signs, value in mapping.items():
-            bits, packed = qcore.encode_bits(signs)
-            assert packed == value
-            assert bits == tuple((1 - s) // 2 for s in signs)
-            assert value == sum((2 ** i) * b for i, b in enumerate(bits))
 
 
 def test_determinism_and_format(capsys, tmp_path):

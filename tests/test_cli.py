@@ -2,17 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import wfcheck
 from wfcheck import cli
 from wfcheck import interpret as it
 from wfcheck import scenario as sc
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = Path(wfcheck.__file__).parent / "scenarios"
 
 GHZ_MIXED = """scenario ghz_mixed
 system S1 2
@@ -27,6 +29,14 @@ interact alice on S3 basis basis3 record A3
 measure wigner on S1, alice.A1 basis lifted(basis2, basis3) result b1
 read wigner record alice.A2 result a2
 read wigner record alice.A3 result a3
+"""
+
+CLASH = """scenario clash
+system S 2
+observer o
+prepare state [1+0i, 0+0i] on S
+measure o on S basis basis1 result x
+measure o on S basis basis3 result y concurrent
 """
 
 
@@ -182,6 +192,14 @@ class TestRunCommand:
                 break
         assert found
 
+    def test_noncommuting_group_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "clash.wfs"
+        path.write_text(CLASH)
+        code, out, err = invoke(capsys, "run", str(path), "--rules", "rqm5")
+        assert code == 1
+        assert out == ""
+        assert err == f"{path}: concurrent events 1 and 2 do not commute on ['S']\n"
+
 
 class TestCheckCommand:
     def test_cpl_contradiction_exit_3(self, capsys):
@@ -300,8 +318,12 @@ class TestEnvelope:
 class TestSubprocessEntry:
     def test_module_invocation_matches_in_process(self, capsys):
         args = ["check", "cpl", "--c", "0.3,0.7", "--ra", "1", "--format", "json"]
+        # the child must import the same package the test imported
+        src = str(Path(wfcheck.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-m", "wfcheck.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 3
         _, out, _ = invoke(capsys, *args)
         assert proc.stdout == out

@@ -389,16 +389,27 @@ class TestDeterminismAndSampling:
 
 
 class TestConcurrency:
-    def test_noncommuting_group_rejected(self):
-        text = """scenario clash
+    CLASH = """scenario clash
 system S 2
 observer o
 prepare state [1+0i, 0+0i] on S
 measure o on S basis basis1 result x
 measure o on S basis basis3 result y concurrent
 """
+
+    def test_noncommuting_group_rejected(self):
         with pytest.raises(it.ConcurrencyError):
-            it.exact_joint(sc.parse(text), it.RuleSet.orthodox())
+            it.exact_joint(sc.parse(self.CLASH), it.RuleSet.orthodox())
+
+    def test_noncommuting_group_rejected_at_compile_time(self):
+        s = sc.parse(self.CLASH)
+        with pytest.raises(it.ConcurrencyError):
+            it.run(s, it.RuleSet.rqm5(), seed=0)
+        with pytest.raises(it.ConcurrencyError):
+            it.perspective(s, it.RuleSet.rqm5(), "o", after=None)
+        # the clashing group lies past event 0, so the prefix still runs
+        ps = it.perspective(s, it.RuleSet.rqm5(), "o", after=0)
+        assert isinstance(ps.state, qcore.StateVector)
 
     def test_commuting_group_matches_sequential(self):
         base = sc.parse(GHZ)

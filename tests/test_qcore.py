@@ -348,51 +348,6 @@ def test_ghz_premeasurement_matches_direct_construction():
 
 
 # ---------------------------------------------------------------------------
-# relabelling
-
-
-def test_encode_bits_example():
-    bits, v = qc.encode_bits((-1, 1, -1))
-    assert bits == (1, 0, 1)
-    assert v == 5
-    # oracle: direct evaluation of v = sum over i of 2^(i-1) b_i
-    for x in [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, -1)]:
-        b, got = qc.encode_bits(x)
-        assert got == sum((2 ** i) * bi for i, bi in enumerate(b))
-
-
-def test_encode_bits_rejects_other_values():
-    with pytest.raises(ValueError):
-        qc.encode_bits((1, 0, -1))
-
-
-def test_integer_relabel_map_is_bijection():
-    m = qc.integer_relabel_map(3)
-    assert sorted(m.values()) == list(range(8))
-    assert m[(-1, 1, -1)] == 5
-
-
-def test_relabel_preserves_distribution():
-    sys = (("S1", 2), ("S2", 2), ("S3", 2))
-    s = qc.StateVector(qc.SpaceLayout(sys), qc.ghz_amplitudes(3))
-    obs = qc.ObservableSpec.product([qc.computational_basis(t, labels=(1, -1)) for t in sys])
-    packed = qc.relabel(obs, qc.integer_relabel_map(3))
-    d0 = qc.born_distribution(s, obs)
-    d1 = qc.born_distribution(s, packed)
-    m = qc.integer_relabel_map(3)
-    for key, p in d0.items():
-        assert d1[m[key]] == pytest.approx(p, abs=1e-12)
-
-
-def test_relabel_requires_bijection():
-    obs = qc.ObservableSpec.single(qc.computational_basis(("S", 2)))
-    with pytest.raises(ValueError):
-        qc.relabel(obs, {0: "x", 1: "x"})
-    with pytest.raises(ValueError):
-        qc.relabel(obs, {0: "x"})
-
-
-# ---------------------------------------------------------------------------
 # stock bases
 
 
