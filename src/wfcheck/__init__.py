@@ -23,8 +23,6 @@ __version__ = "0.1.0"
 from .qcore import (
     BasisSpec,
     DensityMatrix,
-    ObservableFactor,
-    ObservableSpec,
     SpaceLayout,
     StateVector,
     Unitary,
@@ -32,6 +30,7 @@ from .qcore import (
     born_distribution,
     build_premeasurement,
     partial_trace,
+    product_basis,
     project,
     schmidt,
 )
@@ -89,8 +88,6 @@ __all__ = [
     # qcore
     "BasisSpec",
     "DensityMatrix",
-    "ObservableFactor",
-    "ObservableSpec",
     "SpaceLayout",
     "StateVector",
     "Unitary",
@@ -98,6 +95,7 @@ __all__ = [
     "born_distribution",
     "build_premeasurement",
     "partial_trace",
+    "product_basis",
     "project",
     "schmidt",
     # scenario

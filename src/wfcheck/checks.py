@@ -312,10 +312,9 @@ def _record_spec(m: int) -> qcore.BasisSpec:
 
 def _context_products(psi: qcore.StateVector, specs) -> tuple[dict[int, float], float]:
     """Distribution of the outcome product over a joint context, plus off-support weight."""
-    obs = qcore.ObservableSpec.product(specs)
     products: dict[int, float] = {}
     stray = 0.0
-    for outcome, p in qcore.born_distribution(psi, obs).items():
+    for outcome, p in qcore.born_distribution(psi, qcore.product_basis(specs)).items():
         if any(isinstance(x, str) for x in outcome):
             stray += p
             continue
@@ -361,8 +360,8 @@ def ghz_check(fact_holder: str = "agent") -> ContradictionReport:
     branch_violation = 0.0
     for i in (1, 2, 3):
         j, k = [m for m in (1, 2, 3) if m != i]
-        obs = qcore.ObservableSpec.product([_pair_spec(i), _record_spec(j), _record_spec(k)])
-        for outcome, p in qcore.born_distribution(psi, obs).items():
+        joint = qcore.product_basis([_pair_spec(i), _record_spec(j), _record_spec(k)])
+        for outcome, p in qcore.born_distribution(psi, joint).items():
             b, aj, ak = outcome
             good = not isinstance(b, str) and b == -aj * ak
             if not good:

@@ -138,9 +138,9 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
     rules = it.RuleSet(args.rules)
     try:
         result = it.run(scenario, rules, seed=args.seed)
-    except it.ConcurrencyError as exc:
+        joint = it.exact_joint(scenario, rules)
+    except (ValueError, it.TooManyBranchesError) as exc:
         raise _Failure(EXIT_USAGE, f"{args.file}: {exc}") from exc
-    joint = it.exact_joint(scenario, rules)
     keys = it.outcome_keys(scenario)
     payload: dict[str, Any] = {
         "scenario": scenario.name,
@@ -166,7 +166,7 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
         "exact": _table_payload(keys, joint, "probability"),
     }
     if args.samples:
-        tallies = it.sample_tallies(scenario, rules, args.samples, seed=args.seed)
+        tallies = it.sample_tallies(joint, args.samples, seed=args.seed)
         frequencies = {k: v / args.samples for k, v in tallies.items()}
         payload["sampled"] = _table_payload(keys, frequencies, "frequency", counts=tallies)
         payload["sampled"]["n"] = args.samples

@@ -27,7 +27,8 @@ the branch state conditioned on facts from earlier groups of agents
 sharing a conditioning pool (a ``partition`` event groups agents into
 pools; the default pool is the agent alone).  Conditioning projects
 record pointer values and is well defined as long as those records have
-not been disturbed since.
+not been disturbed since; otherwise enumeration raises
+``qcore.ZeroProbabilityError``.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
 enumerate every branch exactly (capped at ``BRANCH_LIMIT``), and
@@ -260,12 +261,8 @@ def _basis_spec(s: sc.Scenario, expr: sc.BasisExpr, targets: tuple[tuple[str, in
 
 
 def _pointer_readout(key: str, dim: int, writer_labels: tuple[Label, ...]) -> qcore.BasisSpec:
-    labels = list(writer_labels)
-    for j in range(len(labels), dim):
-        labels.append(f"cell{j}")
-    if len(set(map(repr, labels))) != len(labels):
-        raise ValueError(f"record {key!r}: writer labels collide with pointer cell names")
-    return qcore.BasisSpec(((key, dim),), np.eye(dim, dtype=complex), tuple(labels))
+    labels = tuple(writer_labels) + sc.pointer_cells(len(writer_labels), dim)
+    return qcore.BasisSpec(((key, dim),), np.eye(dim, dtype=complex), labels)
 
 
 def _require_valid(s: sc.Scenario) -> None:
@@ -387,7 +384,7 @@ def _condition_on_facts(
         try:
             state = qcore.project(state, comp.readout_specs[key], value)
         except qcore.ZeroProbabilityError as e:
-            raise RuntimeError(
+            raise qcore.ZeroProbabilityError(
                 f"conditioning on fact {key!r}={value!r} has zero probability; "
                 "the record was disturbed after the fact was produced"
             ) from e
@@ -787,15 +784,13 @@ def _common_knowledge(
 
 
 def sample_tallies(
-    s: sc.Scenario,
-    rules: RuleSet,
+    joint: dict[tuple[Label, ...], float],
     n: int,
     seed: int = 0,
 ) -> dict[tuple[Label, ...], int]:
-    """Multinomial tallies of n joint samples, keyed per outcome_keys."""
-    dist = exact_joint(s, rules)
-    points = list(dist.keys())
-    probs = np.array([dist[p] for p in points], dtype=float)
+    """Multinomial tallies of n samples drawn from an ``exact_joint`` table."""
+    points = list(joint.keys())
+    probs = np.array([joint[p] for p in points], dtype=float)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, probs)

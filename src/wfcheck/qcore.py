@@ -4,7 +4,8 @@ Everything here works on explicit complex-double arrays over a declared
 tensor-product layout.  Subsystems are ordered, and amplitude indices are
 big-endian in declaration order: the first declared subsystem varies
 slowest.  The kernel provides tensor assembly, local unitary application,
-Born-rule distributions over declared observables, projective collapse,
+basis measurements (Born-rule distributions and projective collapse, with
+joint bases of several separate readouts built by ``product_basis``),
 partial traces, Schmidt decompositions and the pre-measurement unitaries
 that copy a measured basis index onto a fresh record subsystem.
 
@@ -15,13 +16,14 @@ of a few thousand at most); nothing here is sparse or clever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-Label = Union[int, float, str]
-OutcomeKey = Union[Label, tuple]
+# tuple labels name the joint outcomes of a product basis
+Label = Union[int, float, str, tuple]
 
 DEFAULT_ATOL = 1e-10
 # Below this probability an outcome counts as unreachable: projecting on it
@@ -199,65 +201,6 @@ class BasisSpec:
     def target_ids(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.targets)
 
-    def vector_for(self, label: Label) -> np.ndarray:
-        return self.vectors[self.labels.index(label)]
-
-
-@dataclass(frozen=True, eq=False)
-class ObservableFactor:
-    basis: BasisSpec
-
-
-@dataclass(frozen=True, eq=False)
-class ObservableSpec:
-    """One or more basis measurements on disjoint targets, read out jointly.
-
-    With a single factor the outcome keys are the basis labels; with several
-    factors they are label tuples.  ``composition`` records whether the
-    observable is meant as a product of separate readouts or as one single
-    measurement of the joint eigenbasis; the induced distribution is the
-    same either way.
-    """
-
-    factors: tuple[ObservableFactor, ...]
-    composition: str = "product"
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise ValueError("an observable needs at least one factor")
-        if self.composition not in ("product", "single"):
-            raise ValueError(f"unknown composition {self.composition!r}")
-        seen: set[str] = set()
-        for f in self.factors:
-            for name in f.basis.target_ids:
-                if name in seen:
-                    raise ValueError(f"observable factors overlap on subsystem {name!r}")
-                seen.add(name)
-
-    @classmethod
-    def single(cls, basis: BasisSpec) -> "ObservableSpec":
-        return cls(factors=(ObservableFactor(basis),), composition="single")
-
-    @classmethod
-    def product(cls, factors: Sequence[ObservableFactor | BasisSpec]) -> "ObservableSpec":
-        fs = tuple(f if isinstance(f, ObservableFactor) else ObservableFactor(f) for f in factors)
-        return cls(factors=fs, composition="product")
-
-    @property
-    def target_ids(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for f in self.factors:
-            out.extend(f.basis.target_ids)
-        return tuple(out)
-
-    def raw_outcomes(self) -> list[OutcomeKey]:
-        if len(self.factors) == 1:
-            return list(self.factors[0].basis.labels)
-        pools: list[list[OutcomeKey]] = [[]]
-        for f in self.factors:
-            pools = [prev + [lab] for prev in pools for lab in f.basis.labels]
-        return [tuple(p) for p in pools]
-
 
 # ---------------------------------------------------------------------------
 # assembly and transport
@@ -327,74 +270,49 @@ def apply_local(s: StateVector, u: Unitary) -> StateVector:
 # measurement
 
 
-def _contraction(s: StateVector, positions: Sequence[int], vector: np.ndarray) -> np.ndarray:
-    """<v| applied on the given axes; returns the residual tensor, flattened."""
-    k = len(positions)
-    t = np.moveaxis(s.tensor_view(), positions, range(k))
-    shape_rest = t.shape[k:]
-    flat = t.reshape(vector.shape[0], -1)
-    return (vector.conj() @ flat).reshape(shape_rest)
+def _target_rows(s: StateVector, b: BasisSpec) -> tuple[tuple[int, ...], np.ndarray]:
+    """Positions of the basis targets in the state, and the state as a matrix
+    with one row per joint index of those targets."""
+    for name, dim in b.targets:
+        if s.layout.dim_of(name) != dim:
+            raise ValueError(f"basis/target mismatch on subsystem {name!r}")
+    positions = s.layout.positions(b.target_ids)
+    t = np.moveaxis(s.tensor_view(), positions, range(len(positions)))
+    return positions, t.reshape(b.dim, -1)
 
 
-def _observable_parts(s: StateVector, m: ObservableSpec) -> tuple[tuple[int, ...], list[tuple[OutcomeKey, np.ndarray]]]:
-    positions: list[int] = []
-    for f in m.factors:
-        for name, dim in f.basis.targets:
-            if s.layout.dim_of(name) != dim:
-                raise ValueError(f"basis/target mismatch on subsystem {name!r}")
-            positions.append(s.layout.position(name))
-    raw = m.raw_outcomes()
-    combos: list[tuple[OutcomeKey, np.ndarray]] = []
-    for key in raw:
-        labels = (key,) if len(m.factors) == 1 else key
-        vec = np.ones(1, dtype=np.complex128)
-        for f, lab in zip(m.factors, labels):
-            vec = np.kron(vec, f.basis.vector_for(lab))
-        combos.append((key, vec))
-    return tuple(positions), combos
-
-
-def _coerce_observable(m: ObservableSpec | BasisSpec) -> ObservableSpec:
-    return ObservableSpec.single(m) if isinstance(m, BasisSpec) else m
-
-
-def born_distribution(s: StateVector, m: ObservableSpec | BasisSpec) -> dict[OutcomeKey, float]:
-    """Exact Born distribution of an observable, marginal over everything else."""
-    m = _coerce_observable(m)
-    positions, combos = _observable_parts(s, m)
-    out: dict[OutcomeKey, float] = {}
+def born_distribution(s: StateVector, b: BasisSpec) -> dict[Label, float]:
+    """Exact Born distribution of a basis measurement, marginal over everything else."""
+    _, flat = _target_rows(s, b)
+    out: dict[Label, float] = {}
     total = 0.0
-    for key, vec in combos:
-        residual = _contraction(s, positions, vec)
+    for label, vec in zip(b.labels, b.vectors):
+        residual = vec.conj() @ flat
         p = float(np.vdot(residual, residual).real)
         total += p
-        out[key] = p
+        out[label] = p
     if abs(total - 1.0) > 100.0 * DEFAULT_ATOL:
-        raise ValueError(f"Born distribution sums to {total!r}; observable does not resolve the state")
+        raise ValueError(f"Born distribution sums to {total!r}; basis does not resolve the state")
     return out
 
 
-def project(s: StateVector, m: ObservableSpec | BasisSpec, outcome: OutcomeKey) -> StateVector:
+def project(s: StateVector, b: BasisSpec, outcome: Label) -> StateVector:
     """Collapse onto one outcome and renormalize.
 
     Raises :class:`ZeroProbabilityError` when the outcome carries no weight.
     """
-    m = _coerce_observable(m)
-    positions, combos = _observable_parts(s, m)
-    vec = None
-    for key, v in combos:
-        if key == outcome:
-            vec = v
-            break
-    if vec is None:
-        raise KeyError(f"unknown outcome {outcome!r}")
-    residual = _contraction(s, positions, vec)
+    positions, flat = _target_rows(s, b)
+    try:
+        vec = b.vectors[b.labels.index(outcome)]
+    except ValueError:
+        raise KeyError(f"unknown outcome {outcome!r}") from None
+    residual = vec.conj() @ flat
     p = float(np.vdot(residual, residual).real)
     if p <= PROB_EPS:
         raise ZeroProbabilityError(f"outcome {outcome!r} has probability {p!r}; cannot project")
-    k = len(positions)
-    t = np.tensordot(vec.reshape([d for f in m.factors for _, d in f.basis.targets]), residual, axes=0)
-    t = np.moveaxis(t, range(k), positions)
+    rest = [d for i, d in enumerate(s.layout.dims) if i not in positions]
+    t = np.tensordot(vec.reshape([d for _, d in b.targets]), residual.reshape(rest), axes=0)
+    t = np.moveaxis(t, range(len(positions)), positions)
     return StateVector(s.layout, t.reshape(-1) / np.sqrt(p))
 
 
@@ -541,6 +459,30 @@ def computational_basis(targets: Sequence[tuple[str, int]] | tuple[str, int], la
     if labels is None:
         labels = tuple(range(d))
     return BasisSpec(targets=targets, vectors=np.eye(d, dtype=np.complex128), labels=tuple(labels))
+
+
+def product_basis(bases: Sequence[BasisSpec]) -> BasisSpec:
+    """Joint basis of separate basis measurements on disjoint targets.
+
+    Outcomes are label tuples with the first basis varying slowest; each
+    joint vector is the Kronecker product of one vector per factor.
+    """
+    if not bases:
+        raise ValueError("a product basis needs at least one factor")
+    targets = tuple(t for b in bases for t in b.targets)
+    seen: set[str] = set()
+    for name, _ in targets:
+        if name in seen:
+            raise ValueError(f"product basis factors overlap on subsystem {name!r}")
+        seen.add(name)
+    vectors = []
+    for rows in itertools.product(*(b.vectors for b in bases)):
+        vec = np.ones(1, dtype=np.complex128)
+        for row in rows:
+            vec = np.kron(vec, row)
+        vectors.append(vec)
+    labels = tuple(itertools.product(*(b.labels for b in bases)))
+    return BasisSpec(targets=targets, vectors=np.array(vectors), labels=labels)
 
 
 def i_superposed(b: BasisSpec, labels: tuple[Label, Label] = (1, -1)) -> BasisSpec:

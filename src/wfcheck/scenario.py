@@ -197,6 +197,11 @@ def record_key(agent: str, record: str) -> str:
     return f"{agent}.{record}"
 
 
+def pointer_cells(n: int, dim: int) -> tuple[str, ...]:
+    """Labels of the pointer states past a writer's n outcomes in a record of dimension dim."""
+    return tuple(f"cell{j}" for j in range(n, dim))
+
+
 def layout_of(s: Scenario) -> qcore.SpaceLayout:
     """Tensor layout: systems in declaration order, then records per agent."""
     subs = list(s.systems)
@@ -796,6 +801,14 @@ def validate(s: Scenario) -> list[Diagnostic]:
             d *= dims.get(t, 1)
         return d
 
+    def declared_labels(e: BasisExpr) -> tuple[Label, ...]:
+        # only declared bases can carry string labels such as "cell2"
+        if isinstance(e, NamedBasis):
+            for b in s.bases:
+                if b.name == e.name:
+                    return b.labels
+        return ()
+
     def check_basis(i: int, e: BasisExpr, targets: tuple[str, ...]) -> None:
         want = target_space_dim(targets)
         got = basis_expr_dim(s, e, want)
@@ -835,6 +848,11 @@ def validate(s: Scenario) -> list[Diagnostic]:
                 need = target_space_dim(ev.targets)
                 if decl.dim < need:
                     out.append(Diagnostic(i, f"record too small: {key!r} has dimension {decl.dim} for {need} outcomes"))
+                labels = declared_labels(ev.basis)
+                cells = pointer_cells(len(labels), decl.dim)
+                for label in labels:
+                    if label in cells:
+                        out.append(Diagnostic(i, f"basis label {label!r} collides with a pointer cell name of record {key!r}"))
             written.setdefault(key, i)
             touched.update(ev.targets)
             touched.add(key)

@@ -163,7 +163,7 @@ def test_kernel_properties():
                 rows = q.T.copy()
                 factor_rows.append(rows)
                 factors.append(qcore.BasisSpec(((f"q{i}", 2),), rows, (1, -1)))
-            spec = qcore.ObservableSpec.product(factors)
+            spec = qcore.product_basis(factors)
             got = qcore.born_distribution(state, spec)
             want: dict = {}
             for i in (0, 1):
@@ -226,8 +226,8 @@ def test_sampling_sanity():
         text = (SCENARIOS / "epr.wfs").read_text(encoding="utf-8")
         scenario = sc.parse(text)
         rules = it.RuleSet.rqm5()
-        tallies = it.sample_tallies(scenario, rules, n, seed=2026)
         exact = it.exact_joint(scenario, rules)
+        tallies = it.sample_tallies(exact, n, seed=2026)
         keys = it.outcome_keys(scenario)
         assert keys == ("alice.A", "rb")
 

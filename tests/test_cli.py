@@ -39,6 +39,39 @@ measure o on S basis basis1 result x
 measure o on S basis basis3 result y concurrent
 """
 
+# an outsider reads alice's record, then alice interacts again: under rqm5
+# the read disturbs the record that conditions alice's second fact
+REREAD = """scenario reread
+system S1 2
+system S2 2
+agent alice record A1 2 init 0 record A2 2 init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.6+0i, 0.8+0i] on S2
+interact alice on S1 basis basis1 record A1
+read w record alice.A1 result r
+interact alice on S2 basis basis1 record A2
+"""
+
+CHAIN3 = """scenario chain3
+system S1 2
+system S2 2
+system S3 2
+agent f1 record A 2 init 0
+agent f2 record A 2 init 0
+agent f3 record A 2 init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.6+0i, 0.8+0i] on S2
+prepare state [0.6+0i, 0.8+0i] on S3
+interact f1 on S1 basis basis1 record A
+interact f2 on S2 basis basis1 record A
+interact f3 on S3 basis basis1 record A
+read w record f1.A result r1
+read w record f2.A result r2
+read w record f3.A result r3
+"""
+
 
 def invoke(capsys, *args):
     code = cli.main(list(args))
@@ -199,6 +232,43 @@ class TestRunCommand:
         assert code == 1
         assert out == ""
         assert err == f"{path}: concurrent events 1 and 2 do not commute on ['S']\n"
+
+    def test_pointer_cell_label_collision_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "collide.wfs"
+        path.write_text(
+            "scenario collide\nsystem S 2\nagent alice record A 3 init 0\n"
+            "basis mine on 2 labels a, cell2 vectors [1, 0] ; [0, 1]\n"
+            "prepare state [0.6+0i, 0.8+0i] on S\n"
+            "interact alice on S basis mine record A\n"
+        )
+        for rules in it.RULE_KINDS:
+            code, out, err = invoke(capsys, "run", str(path), "--rules", rules)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"{path}: event 1: basis label 'cell2' collides")
+            assert "Traceback" not in err
+
+    def test_disturbed_conditioning_record_exit_1_under_rqm5(self, capsys, tmp_path):
+        path = tmp_path / "reread.wfs"
+        path.write_text(REREAD)
+        code, out, err = invoke(capsys, "run", str(path), "--rules", "rqm5")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"{path}: conditioning on fact 'alice.A1'=0 has zero probability; "
+            "the record was disturbed after the fact was produced\n"
+        )
+        for rules in ("orthodox", "cpl"):
+            assert invoke(capsys, "run", str(path), "--rules", rules)[0] == 0
+
+    def test_branch_limit_exit_1(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "chain3.wfs"
+        path.write_text(CHAIN3)
+        monkeypatch.setattr(it, "BRANCH_LIMIT", 10)
+        code, out, err = invoke(capsys, "run", str(path), "--rules", "rqm5")
+        assert code == 1
+        assert out == ""
+        assert err == f"{path}: scenario 'chain3' exceeds 10 branches\n"
 
 
 class TestCheckCommand:

@@ -378,8 +378,9 @@ class TestDeterminismAndSampling:
 
     def test_sample_tallies_deterministic_and_sized(self):
         s = sc.parse(GHZ)
-        t1 = it.sample_tallies(s, it.RuleSet.rqm5(), 5000, seed=9)
-        t2 = it.sample_tallies(s, it.RuleSet.rqm5(), 5000, seed=9)
+        joint = it.exact_joint(s, it.RuleSet.rqm5())
+        t1 = it.sample_tallies(joint, 5000, seed=9)
+        t2 = it.sample_tallies(joint, 5000, seed=9)
         assert t1 == t2
         assert sum(t1.values()) == 5000
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wfcheck import qcore as qc
 
@@ -130,7 +133,7 @@ def test_born_i_superposed_state_in_computational():
 def test_born_ghz_qubitwise():
     sys = (("S1", 2), ("S2", 2), ("S3", 2))
     s = qc.StateVector(qc.SpaceLayout(sys), qc.ghz_amplitudes(3))
-    obs = qc.ObservableSpec.product([qc.computational_basis(t, labels=(1, -1)) for t in sys])
+    obs = qc.product_basis([qc.computational_basis(t, labels=(1, -1)) for t in sys])
     dist = qc.born_distribution(s, obs)
     assert dist[(1, 1, 1)] == pytest.approx(0.5, abs=1e-12)
     assert dist[(-1, -1, -1)] == pytest.approx(0.5, abs=1e-12)
@@ -142,7 +145,7 @@ def test_born_completeness_random():
     for _ in range(50):
         lay = qc.SpaceLayout((("a", 2), ("b", 2), ("c", 2)))
         s = qc.random_state(lay, rng)
-        obs = qc.ObservableSpec.product(
+        obs = qc.product_basis(
             [qc.qubit_ladder_basis(("a", 2), int(rng.integers(0, 3))),
              qc.qubit_ladder_basis(("b", 2), int(rng.integers(0, 3)))]
         )
@@ -170,30 +173,89 @@ def test_project_zero_probability_is_error():
         qc.project(s, b, 1)
 
 
-def test_product_observable_equals_sequential_measurement():
+def test_project_unknown_outcome_is_key_error():
+    s = entangled_pair()
+    with pytest.raises(KeyError, match="unknown outcome"):
+        qc.project(s, qc.computational_basis(("P1", 2)), 2)
+
+
+def test_basis_target_dimension_mismatch_is_error():
+    s = qc.StateVector(qc.SpaceLayout((("a", 3), ("b", 2))), [1, 0, 0, 0, 0, 0])
+    b = qc.computational_basis(("a", 2))
+    with pytest.raises(ValueError, match="basis/target mismatch on subsystem 'a'"):
+        qc.born_distribution(s, b)
+    with pytest.raises(ValueError, match="basis/target mismatch on subsystem 'a'"):
+        qc.project(s, b, 0)
+
+
+def test_product_basis_label_order():
+    # first factor slowest, as itertools.product
+    bases = [qc.computational_basis((t, 2), labels=(1, -1)) for t in ("a", "b", "c")]
+    joint = qc.product_basis(bases)
+    assert joint.labels == (
+        (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+        (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
+    )
+    assert joint.targets == (("a", 2), ("b", 2), ("c", 2))
+    assert np.array_equal(joint.vectors, np.eye(8))
+
+
+def test_product_basis_rejects_overlapping_targets():
+    a = qc.computational_basis(("a", 2))
+    ab = qc.computational_basis((("a", 2), ("b", 2)))
+    with pytest.raises(ValueError, match="overlap on subsystem 'a'"):
+        qc.product_basis([ab, a])
+
+
+def _complex_arrays(shape):
+    entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return hnp.arrays(np.complex128, shape, elements=entries)
+
+
+@st.composite
+def _state_and_factors(draw):
+    """A random state on 2-3 targets of dimension 2-3, and a random
+    orthonormal basis of each target."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    targets = tuple((f"t{i}", d) for i, d in enumerate(dims))
+    amp = draw(_complex_arrays(int(np.prod(dims))))
+    norm = float(np.linalg.norm(amp))
+    assume(norm > 0.1)
+    s = qc.StateVector(qc.SpaceLayout(targets), amp / norm)
+    factors = []
+    for t in targets:
+        q, _ = np.linalg.qr(draw(_complex_arrays((t[1], t[1]))))
+        factors.append(qc.BasisSpec((t,), q.T.copy(), tuple(range(t[1]))))
+    return s, factors
+
+
+def _chained(s, factors, prefix=(), weight=1.0, out=None):
+    """Collapse factor by factor: joint label -> (probability, collapsed state)."""
+    out = {} if out is None else out
+    if not factors:
+        out[prefix] = (weight, s)
+        return out
+    for label, p in qc.born_distribution(s, factors[0]).items():
+        if p > 1e-14:
+            _chained(qc.project(s, factors[0], label), factors[1:], prefix + (label,), weight * p, out)
+    return out
+
+
+@given(_state_and_factors())
+@settings(max_examples=60, deadline=None)
+def test_product_observable_equals_sequential_measurement(case):
     # single joint readout versus chained single-factor collapse
-    rng = np.random.default_rng(21)
-    targets = (("a", 2), ("b", 2), ("c", 2))
-    for _ in range(25):
-        s = qc.random_state(qc.SpaceLayout(targets), rng)
-        factors = [qc.qubit_ladder_basis(t, int(rng.integers(0, 3))) for t in targets]
-        joint = qc.born_distribution(s, qc.ObservableSpec.product(factors))
-        seq: dict[tuple, float] = {}
-        for l0 in factors[0].labels:
-            p0 = qc.born_distribution(s, factors[0])[l0]
-            if p0 <= 1e-14:
-                continue
-            s0 = qc.project(s, factors[0], l0)
-            for l1 in factors[1].labels:
-                p1 = qc.born_distribution(s0, factors[1])[l1]
-                if p1 <= 1e-14:
-                    continue
-                s1 = qc.project(s0, factors[1], l1)
-                for l2 in factors[2].labels:
-                    p2 = qc.born_distribution(s1, factors[2])[l2]
-                    seq[(l0, l1, l2)] = p0 * p1 * p2
-        for key, p in joint.items():
-            assert p == pytest.approx(seq.get(key, 0.0), abs=1e-10)
+    s, factors = case
+    joint_basis = qc.product_basis(factors)
+    joint = qc.born_distribution(s, joint_basis)
+    seq = _chained(s, factors)
+    assert sum(joint.values()) == pytest.approx(1.0, abs=1e-10)
+    for key, p in joint.items():
+        assert p == pytest.approx(seq.get(key, (0.0, None))[0], abs=1e-10)
+    for key, (p, collapsed) in seq.items():
+        if p > 1e-8:
+            after = qc.project(s, joint_basis, key)
+            assert np.allclose(after.amplitudes, collapsed.amplitudes, atol=1e-9, rtol=0)
 
 
 # ---------------------------------------------------------------------------

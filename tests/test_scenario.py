@@ -233,6 +233,22 @@ def test_validate_diagnostics(body, fragment, index):
     assert d.event_index == index
 
 
+def test_validate_pointer_cell_label_collision():
+    # a dimension-3 record written by a 2-outcome basis keeps cell2 as its
+    # third pointer label, so a writer label "cell2" would name two cells
+    text = (
+        "scenario v\nsystem S 2\nagent a record R 3 init 0\n"
+        "basis mine on 2 labels {labels} vectors [1, 0] ; [0, 1]\n"
+        "prepare state [1+0i, 0+0i] on S\n"
+        "interact a on S basis mine record R\n"
+    )
+    d = _one_diag(text.format(labels="x, cell2"))
+    assert d.event_index == 1
+    assert d.reason == "basis label 'cell2' collides with a pointer cell name of record 'a.R'"
+    # cell1 is a writer slot, not a pointer cell, so it does not collide
+    assert sc.validate(sc.parse(text.format(labels="x, cell1"))) == []
+
+
 def test_validate_prepare_after_use():
     text = HEADER + "prepare state [1+0i, 0+0i] on S\nmeasure o on S basis basis1 result r\n"
     s = sc.parse(text)
