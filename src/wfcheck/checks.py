@@ -310,11 +310,11 @@ def _record_spec(m: int) -> qcore.BasisSpec:
     return qcore.computational_basis((f"A{m}", 2), labels=(1, -1))
 
 
-def _context_products(psi: qcore.StateVector, specs) -> tuple[dict[int, float], float]:
+def _context_products(dist: dict[tuple, float]) -> tuple[dict[int, float], float]:
     """Distribution of the outcome product over a joint context, plus off-support weight."""
     products: dict[int, float] = {}
     stray = 0.0
-    for outcome, p in qcore.born_distribution(psi, qcore.product_basis(specs)).items():
+    for outcome, p in dist.items():
         if any(isinstance(x, str) for x in outcome):
             stray += p
             continue
@@ -336,7 +336,8 @@ def ghz_check(fact_holder: str = "agent") -> ContradictionReport:
 
     findings: list[Finding] = []
 
-    products, stray = _context_products(psi, [_pair_spec(m) for m in (1, 2, 3)])
+    all_pairs = qcore.product_basis([_pair_spec(m) for m in (1, 2, 3)])
+    products, stray = _context_products(qcore.born_distribution(psi, all_pairs))
     all_pairs_gap = max(abs(products.get(1, 0.0) - 1.0), products.get(-1, 0.0), stray)
     findings.append(Finding(
         claim="rotated outcomes of all three pairs multiply to +1",
@@ -344,27 +345,23 @@ def ghz_check(fact_holder: str = "agent") -> ContradictionReport:
         discrepancy=all_pairs_gap,
     ))
 
+    # mixed contexts, each measured once: the product is certainly -1, and
+    # branchwise the rotated pair outcome equals minus the product of the
+    # other two record values on every branch that carries weight
+    branch_violation = 0.0
     for i in (1, 2, 3):
         j, k = [m for m in (1, 2, 3) if m != i]
-        specs = [_pair_spec(i), _record_spec(j), _record_spec(k)]
-        products, stray = _context_products(psi, specs)
+        joint = qcore.product_basis([_pair_spec(i), _record_spec(j), _record_spec(k)])
+        dist = qcore.born_distribution(psi, joint)
+        products, stray = _context_products(dist)
         gap = max(abs(products.get(-1, 0.0) - 1.0), products.get(1, 0.0), stray)
         findings.append(Finding(
             claim=f"pair {i} rotated outcome times record values {j},{k} is -1",
             values=(("stable", products.get(-1, 0.0)),),
             discrepancy=gap,
         ))
-
-    # branchwise: the rotated pair outcome equals minus the product of the
-    # other two record values on every branch that carries weight
-    branch_violation = 0.0
-    for i in (1, 2, 3):
-        j, k = [m for m in (1, 2, 3) if m != i]
-        joint = qcore.product_basis([_pair_spec(i), _record_spec(j), _record_spec(k)])
-        for outcome, p in qcore.born_distribution(psi, joint).items():
-            b, aj, ak = outcome
-            good = not isinstance(b, str) and b == -aj * ak
-            if not good:
+        for (b, aj, ak), p in dist.items():
+            if isinstance(b, str) or b != -aj * ak:
                 branch_violation = max(branch_violation, p)
     findings.append(Finding(
         claim="every weighted branch satisfies pair outcome = -(product of other records)",

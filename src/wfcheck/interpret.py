@@ -15,20 +15,23 @@ The engine runs a scenario timeline three ways:
   and a pin onto a zero-probability outcome is reported as an anomaly
   rather than raised.
 
-Internally a run is a tree of branches.  A branch carries the global
-state (projected only by collapsing events), the ledger facts sampled so
-far, bound results, and a weight equal to the joint probability of that
-history.  Compilation lays out each event group once (its events, its
-interactions, and the unitaries that act before any outcome is drawn)
-and checks there that concurrent events commute.  Every group then
-expands through one routine, a single event being a group of one.
-Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born rule on
-the branch state conditioned on facts from earlier groups of agents
-sharing a conditioning pool (a ``partition`` event groups agents into
-pools; the default pool is the agent alone).  Conditioning projects
-record pointer values and is well defined as long as those records have
-not been disturbed since; otherwise enumeration raises
-``qcore.ZeroProbabilityError``.
+Each public call validates its scenario once and then compiles it.
+Compilation holds everything the timeline fixes: each event group's
+events, interactions and the unitaries that act before any outcome is
+drawn (concurrent events are checked to commute there, once), the
+interaction that writes each record, and each interaction's conditioning
+pool, resolved from the ``partition`` events before it (the default pool
+is the agent alone).  A run is then a tree of branches, each carrying
+only what one history fixes: the global state (projected only by
+collapsing events), the record facts and bound results so far, the pins
+applied, and a weight equal to the joint probability of that history.
+Every group expands through one routine, a single event being a group
+of one.  Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born
+rule on the branch state conditioned on the pool's facts from earlier
+groups.  Conditioning projects record pointer values and is well defined
+as long as those records have not been disturbed since; otherwise
+enumeration raises ``qcore.ZeroProbabilityError``.  ``run`` builds the
+ledger and the anomaly notes for its sampled history only.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
 enumerate every branch exactly (capped at ``BRANCH_LIMIT``), and
@@ -167,6 +170,7 @@ class _CInteract:
     mirror_holder: str
     unitary: qcore.Unitary
     readout: qcore.BasisSpec  # pointer basis of the record, writer labels
+    pool: frozenset[str]  # agents whose earlier facts condition this outcome
 
 
 @dataclass(frozen=True)
@@ -187,13 +191,7 @@ class _CRead:
     pinnable: bool  # default pointer-basis readout; explicit bases are never pinned
 
 
-@dataclass(frozen=True)
-class _CPartition:
-    index: int
-    groups: tuple[tuple[str, ...], ...]
-
-
-_CEvent = Union[_CPrepare, _CInteract, _CMeasure, _CRead, _CPartition]
+_CEvent = Union[_CPrepare, _CInteract, _CMeasure, _CRead]
 
 
 @dataclass(frozen=True)
@@ -210,10 +208,9 @@ class _Compiled:
     scenario: sc.Scenario
     layout: qcore.SpaceLayout
     initial: qcore.StateVector
-    events: tuple[_CEvent, ...]
+    events: tuple[_CEvent, ...]  # partitions excluded; they only set pools
     groups: tuple[_Group, ...]
-    readout_specs: dict[str, qcore.BasisSpec]  # record key -> pointer readout
-    record_owner: dict[str, str]
+    writers: dict[str, _CInteract]  # record key -> the interaction that writes it
     intact_records: frozenset[str]  # written records no later event measures or reads
 
 
@@ -232,28 +229,17 @@ def _injection_unitary(layout: qcore.SpaceLayout, psi: np.ndarray) -> qcore.Unit
     return qcore.Unitary(layout, rows.T.copy())
 
 
-def _preset_spec(name: str, targets: tuple[tuple[str, int], ...]) -> qcore.BasisSpec:
-    if name == "basis1":
-        return qcore.computational_basis(targets)
-    if len(targets) != 1 or targets[0][1] != 2:
-        raise ValueError(f"{name} needs a single dimension-2 target")
-    depth = 1 if name == "basis3" else 2
-    return qcore.qubit_ladder_basis(targets[0], depth)
-
-
+# validation guarantees every basis fits its targets: basis2/basis3 a single
+# qubit, lifted a pair of qubits, a declared basis its target dimension
 def _basis_spec(s: sc.Scenario, expr: sc.BasisExpr, targets: tuple[tuple[str, int], ...]) -> qcore.BasisSpec:
     if isinstance(expr, sc.PresetBasis):
-        return _preset_spec(expr.name, targets)
+        if expr.name == "basis1":
+            return qcore.computational_basis(targets)
+        return qcore.qubit_ladder_basis(targets[0], 1 if expr.name == "basis3" else 2)
     if isinstance(expr, sc.NamedBasis):
-        for b in s.bases:
-            if b.name == expr.name:
-                if b.dim != prod(d for _, d in targets):
-                    raise ValueError(f"basis {b.name!r} does not fit targets {targets}")
-                return qcore.BasisSpec(targets, np.asarray(b.vectors, dtype=complex), b.labels)
-        raise ValueError(f"unknown basis {expr.name!r}")
+        b = next(b for b in s.bases if b.name == expr.name)
+        return qcore.BasisSpec(targets, np.asarray(b.vectors, dtype=complex), b.labels)
     # lifted(outer, inner) on a (system, record) pair
-    if len(targets) != 2 or targets[0][1] != 2 or targets[1][1] != 2:
-        raise ValueError("lifted(...) needs a (system, record) pair of dimension-2 targets")
     system, record = targets
     inner = _basis_spec(s, expr.inner, (system,))
     outer = _basis_spec(s, expr.outer, (system,))
@@ -273,17 +259,10 @@ def _require_valid(s: sc.Scenario) -> None:
 
 
 def _compile(s: sc.Scenario) -> _Compiled:
-    _require_valid(s)
+    """Lay out a validated scenario: everything the timeline fixes."""
     layout = sc.layout_of(s)
     dims = dict(layout.subsystems)
-
-    record_init: dict[str, int] = {}
-    record_owner: dict[str, str] = {}
-    for a in s.agents:
-        for r in a.records:
-            key = sc.record_key(a.name, r.name)
-            record_init[key] = r.init
-            record_owner[key] = a.name
+    record_init = {sc.record_key(a.name, r.name): r.init for a in s.agents for r in a.records}
 
     indices = []
     for sid, _ in layout.subsystems:
@@ -292,41 +271,40 @@ def _compile(s: sc.Scenario) -> _Compiled:
     amps[np.ravel_multi_index(tuple(indices), layout.dims)] = 1.0
     initial = qcore.StateVector(layout, amps)
 
-    readout_specs: dict[str, qcore.BasisSpec] = {}
+    pools: dict[str, frozenset[str]] = {}
+    writers: dict[str, _CInteract] = {}
     events: list[_CEvent] = []
+    grouped: list[tuple[_CEvent, ...]] = []
     for i, ev in enumerate(s.timeline):
+        if isinstance(ev, sc.DeclarePartition):
+            # takes effect for later events; validation keeps it out of groups
+            for members in ev.groups:
+                pools.update(dict.fromkeys(members, frozenset(members)))
+            continue
         if isinstance(ev, sc.Prepare):
             sub = layout.sublayout(ev.targets)
-            events.append(_CPrepare(i, _injection_unitary(sub, _state_amplitudes(ev.state))))
+            cev: _CEvent = _CPrepare(i, _injection_unitary(sub, _state_amplitudes(ev.state)))
         elif isinstance(ev, sc.Interact):
             targets = tuple((t, dims[t]) for t in ev.targets)
             bspec = _basis_spec(s, ev.basis, targets)
             key = sc.record_key(ev.agent, ev.record)
             u = qcore.build_premeasurement(bspec, (key, dims[key]), record_init[key])
             readout = _pointer_readout(key, dims[key], bspec.labels)
-            readout_specs[key] = readout
-            events.append(_CInteract(i, ev.agent, key, "+".join(ev.targets), u, readout))
+            pool = pools.get(ev.agent, frozenset((ev.agent,)))
+            cev = writers[key] = _CInteract(i, ev.agent, key, "+".join(ev.targets), u, readout, pool)
         elif isinstance(ev, sc.Measure):
             targets = tuple((t, dims[t]) for t in ev.targets)
-            events.append(_CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result))
-        elif isinstance(ev, sc.ReadRecord):
+            cev = _CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result)
+        else:
             key = sc.record_key(ev.agent, ev.record)
-            if ev.basis is None:
-                spec = readout_specs[key]
-                pinnable = True
-            else:
-                spec = _basis_spec(s, ev.basis, ((key, dims[key]),))
-                pinnable = False
-            events.append(_CRead(i, ev.observer, key, spec, ev.result, pinnable))
+            pinnable = ev.basis is None
+            spec = writers[key].readout if pinnable else _basis_spec(s, ev.basis, ((key, dims[key]),))
+            cev = _CRead(i, ev.observer, key, spec, ev.result, pinnable)
+        events.append(cev)
+        if getattr(ev, "concurrent", False):
+            grouped[-1] += (cev,)
         else:
-            events.append(_CPartition(i, ev.groups))
-
-    grouped: list[tuple[_CEvent, ...]] = []
-    for ev, raw in zip(events, s.timeline):
-        if getattr(raw, "concurrent", False) and grouped:
-            grouped[-1] += (ev,)
-        else:
-            grouped.append((ev,))
+            grouped.append((cev,))
     groups: list[_Group] = []
     for evs in grouped:
         if len(evs) > 1:
@@ -343,8 +321,7 @@ def _compile(s: sc.Scenario) -> _Compiled:
             intact -= set(ev.spec.target_ids)
         elif isinstance(ev, _CInteract):
             intact.add(ev.record)
-    return _Compiled(s, layout, initial, tuple(events), tuple(groups), readout_specs,
-                     record_owner, frozenset(intact))
+    return _Compiled(s, layout, initial, tuple(events), tuple(groups), writers, frozenset(intact))
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +334,13 @@ class _Branch:
     weight: float
     facts: tuple[tuple[str, Label], ...] = ()      # (record key, outcome) in event order
     results: tuple[tuple[str, Label], ...] = ()    # (result name, outcome) in event order
-    entries: tuple[LedgerEntry, ...] = ()
     pins: tuple[PinRecord, ...] = ()
-    anomalies: tuple[str, ...] = ()
 
     def fact(self, record: str) -> Label:
         for k, v in self.facts:
             if k == record:
                 return v
         raise KeyError(record)
-
-
-def _pool_of(pools: dict[str, frozenset[str]], agent: str) -> frozenset[str]:
-    return pools.get(agent, frozenset((agent,)))
 
 
 def _condition_on_facts(
@@ -379,10 +350,11 @@ def _condition_on_facts(
     comp: _Compiled,
 ) -> qcore.StateVector:
     for key, value in branch.facts:
-        if comp.record_owner[key] not in members:
+        writer = comp.writers[key]
+        if writer.agent not in members:
             continue
         try:
-            state = qcore.project(state, comp.readout_specs[key], value)
+            state = qcore.project(state, writer.readout, value)
         except qcore.ZeroProbabilityError as e:
             raise qcore.ZeroProbabilityError(
                 f"conditioning on fact {key!r}={value!r} has zero probability; "
@@ -416,27 +388,15 @@ def _stable_children(ev: Union[_CMeasure, _CRead], branch: _Branch) -> list[_Bra
 
 
 def _pinned_child(ev: _CRead, branch: _Branch) -> _Branch:
+    # a pin onto a zero-probability outcome leaves the state unprojected
     value = branch.fact(ev.record)
-    dist = dict(qcore.born_distribution(branch.state, ev.spec))
-    p = float(dist.get(value, 0.0))
-    if p <= qcore.PROB_EPS:
-        pin = PinRecord(ev.index, ev.observer, ev.record, value, p, True)
-        note = (
-            f"event {ev.index}: cross-perspective link forces {ev.result}={value!r} "
-            f"on record {ev.record!r}, an outcome of probability {p:.3g}"
-        )
-        return replace(
-            branch,
-            results=branch.results + ((ev.result, value),),
-            pins=branch.pins + (pin,),
-            anomalies=branch.anomalies + (note,),
-        )
-    pin = PinRecord(ev.index, ev.observer, ev.record, value, p, False)
+    p = float(qcore.born_distribution(branch.state, ev.spec).get(value, 0.0))
+    anomalous = p <= qcore.PROB_EPS
     return replace(
         branch,
-        state=qcore.project(branch.state, ev.spec, value),
+        state=branch.state if anomalous else qcore.project(branch.state, ev.spec, value),
         results=branch.results + ((ev.result, value),),
-        pins=branch.pins + (pin,),
+        pins=branch.pins + (PinRecord(ev.index, ev.observer, ev.record, value, p, anomalous),),
     )
 
 
@@ -489,7 +449,6 @@ def _expand_group(
     group: _Group,
     branch: _Branch,
     rules: RuleSet,
-    pools: dict[str, frozenset[str]],
 ) -> list[_Branch]:
     # dynamics first: all unitaries act before any outcome is drawn
     state = branch.state
@@ -499,7 +458,7 @@ def _expand_group(
     if not rules.collapses_on_interact:
         # simultaneous facts: each conditional sees pre-group facts only
         for ev in group.interacts:
-            conditioned = _condition_on_facts(state, branch, _pool_of(pools, ev.agent), comp)
+            conditioned = _condition_on_facts(state, branch, ev.pool, comp)
             dist = _distribution(conditioned, ev.readout)
             next_children = []
             for child in children:
@@ -508,7 +467,6 @@ def _expand_group(
                         child,
                         weight=child.weight * p,
                         facts=child.facts + ((ev.record, label),),
-                        entries=child.entries + _fact_entries(ev, label, rules),
                     ))
             children = next_children
     for ev in group.events:
@@ -522,7 +480,6 @@ def _expand_group(
                             state=qcore.project(child.state, ev.readout, label),
                             weight=child.weight * p,
                             facts=child.facts + ((ev.record, label),),
-                            entries=child.entries + _fact_entries(ev, label, rules),
                         ))
                 children = next_children
         elif isinstance(ev, _CRead) and ev.pinnable and rules.pins_reads:
@@ -534,19 +491,11 @@ def _expand_group(
 
 def _execute(comp: _Compiled, rules: RuleSet, chooser=None) -> list[_Branch]:
     """Expand the branch tree; with a chooser, follow a single sampled path."""
-    pools: dict[str, frozenset[str]] = {}
     branches = [_Branch(state=comp.initial, weight=1.0)]
     for group in comp.groups:
-        ev = group.events[0]
-        if isinstance(ev, _CPartition):
-            for members in ev.groups:
-                pool = frozenset(members)
-                for m in members:
-                    pools[m] = pool
-            continue
         new: list[_Branch] = []
         for b in branches:
-            children = _expand_group(comp, group, b, rules, pools)
+            children = _expand_group(comp, group, b, rules)
             if chooser is not None:
                 children = [chooser(b, children)]
             new.extend(children)
@@ -559,6 +508,7 @@ def _execute(comp: _Compiled, rules: RuleSet, chooser=None) -> list[_Branch]:
 
 
 def _enumerate_leaves(s: sc.Scenario, rules: RuleSet) -> list[_Branch]:
+    _require_valid(s)
     return _execute(_compile(s), rules)
 
 
@@ -568,6 +518,7 @@ def _enumerate_leaves(s: sc.Scenario, rules: RuleSet) -> list[_Branch]:
 
 def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
     """Sample a single history; identical (scenario, rules, seed) gives identical output."""
+    _require_valid(s)
     comp = _compile(s)
     rng = random.Random(seed)
 
@@ -588,15 +539,25 @@ def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
         name: _branch_perspective(comp, leaf, name)
         for name in _observer_names(s)
     }
+    # the ledger and anomaly notes describe the sampled history only
+    entries = tuple(
+        e for key, label in leaf.facts for e in _fact_entries(comp.writers[key], label, rules)
+    )
+    read_results = {ev.index: ev.result for ev in comp.events if isinstance(ev, _CRead)}
+    anomalies = tuple(
+        f"event {p.event_index}: cross-perspective link forces {read_results[p.event_index]}={p.value!r} "
+        f"on record {p.record!r}, an outcome of probability {p.born_weight:.3g}"
+        for p in leaf.pins if p.anomalous
+    )
     return RunResult(
         scenario=s.name,
         rules=rules,
         seed=seed,
         results=dict(leaf.results),
-        ledger=RelativeFactLedger(leaf.entries),
+        ledger=RelativeFactLedger(entries),
         perspectives=perspectives,
         pins=leaf.pins,
-        anomalies=leaf.anomalies,
+        anomalies=anomalies,
     )
 
 
@@ -609,12 +570,13 @@ def _agent_view(comp: _Compiled, branch: _Branch, name: str) -> tuple[qcore.Stat
     state = branch.state
     held: list[tuple[str, Label]] = []
     for key, value in branch.facts:
-        if comp.record_owner[key] == name and key in comp.intact_records:
+        writer = comp.writers[key]
+        if writer.agent == name and key in comp.intact_records:
             # a stable collapse on an entangled partner can strip a
             # relative fact of support; it stays known, but cannot
             # steer the state
             try:
-                state = qcore.project(state, comp.readout_specs[key], value)
+                state = qcore.project(state, writer.readout, value)
             except qcore.ZeroProbabilityError:
                 pass
             held.append((key, value))

@@ -473,7 +473,7 @@ def _parse_basis_decl(cur: _Cursor, st: _ParseState) -> None:
         cur.take(";")
         vectors.append(_parse_vector(cur))
     cur.end()
-    if len(labels) != len(set(map(repr, labels))):
+    if len(labels) != len(set(labels)):  # by value, as BasisSpec compares: 1 == 1.0
         raise cur.err("basis labels must be pairwise distinct")
     if len(vectors) != dim or len(labels) != dim:
         raise cur.err(f"dimension mismatch: basis {name!r} declares dimension {dim} but has {len(vectors)} vectors and {len(labels)} labels")
@@ -814,6 +814,8 @@ def validate(s: Scenario) -> list[Diagnostic]:
         got = basis_expr_dim(s, e, want)
         if got is None or got != want:
             out.append(Diagnostic(i, f"basis/target mismatch: basis of dimension {got} on a target space of dimension {want}"))
+        elif isinstance(e, LiftedBasis) and (len(targets) != 2 or any(dims.get(t) != 2 for t in targets)):
+            out.append(Diagnostic(i, f"lifted(...) needs a (system, record) pair of dimension-2 targets, got {', '.join(targets)}"))
 
     for i, ev in enumerate(s.timeline):
         if isinstance(ev, Prepare):

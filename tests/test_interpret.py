@@ -439,6 +439,25 @@ interact bob on S2 basis basis1 record B concurrent
         assert _match_probability(joint) == pytest.approx(0.58, abs=1e-12)
 
 
+LATE = """scenario late
+system S1 2
+system S2 2
+agent alice record A 2 init 0
+agent bob record B 2 init 0
+prepare schmidt(0.6, 0.8) on S1, S2
+interact alice on S1 basis basis1 record A
+{mid}interact bob on S2 basis basis1 record B
+{end}"""
+
+
+@pytest.mark.parametrize("before_bob,want", [(True, 1.0), (False, 0.36 ** 2 + 0.64 ** 2)])
+def test_partition_applies_only_to_later_interactions(before_bob, want):
+    partition = "partition p group alice, bob\n"
+    text = LATE.format(mid=partition, end="") if before_bob else LATE.format(mid="", end=partition)
+    joint = it.exact_joint(sc.parse(text), it.RuleSet.rqm5())
+    assert _match_probability(joint) == pytest.approx(want, abs=1e-12)
+
+
 class TestValidationGate:
     def test_invalid_scenario_rejected(self):
         text = """scenario bad

@@ -163,6 +163,7 @@ def test_comments_and_blank_lines_ignored():
         ("scenario x\nbasis b on 2 labels 0, 1 vectors [1+0i, 0+0i] ; [1+0i, 0+0i]\n", "not orthonormal", 2),
         ("scenario x\nbasis b on 2 labels 0, 1 vectors [1+0i, 0+0i]\n", "dimension mismatch", 2),
         ("scenario x\nbasis b on 2 labels 0, 0 vectors [1+0i, 0+0i] ; [0+0i, 1+0i]\n", "distinct", 2),
+        ("scenario x\nbasis b on 2 labels 1, 1.0 vectors [1+0i, 0+0i] ; [0+0i, 1+0i]\n", "distinct", 2),
         ("scenario x\nsystem S 2\nobserver o\nmeasure o on S basis nosuch result r\n", "unknown identifier 'nosuch'", 4),
         ("scenario x\nsystem S 2\nprepare state [1+0i, 0+0i] on S extra\n", "trailing", 3),
         ("scenario x\nsystem S 2\nobserver o\nread o record a.R result r\n", "unknown identifier 'a.R'", 4),
@@ -203,6 +204,7 @@ def _one_diag(text: str) -> sc.Diagnostic:
 HEADER = """scenario v
 system S 2
 system T 2
+system Q 4
 agent a record R 2 init 0 record R2 2 init 0
 observer o
 """
@@ -214,6 +216,7 @@ observer o
         ("interact a on S basis basis1 record R\n", "unprepared target", 0),
         ("prepare state [1+0i, 0+0i] on S\nread o record a.R result r\n", "record never written", 1),
         ("prepare state [1+0i, 0+0i] on S\nmeasure o on S basis lifted(basis2, basis3) result r\n", "basis/target mismatch", 1),
+        ("prepare state [1+0i, 0+0i, 0+0i, 0+0i] on Q\nmeasure o on Q basis lifted(basis3, basis1) result r\n", "lifted(...) needs", 1),
         ("prepare state [1+0i, 0+0i] on S\nprepare state [1+0i, 0+0i] on T\ninteract a on S basis basis1 record R\ninteract a on T basis basis1 record R\n", "written twice", 3),
         ("prepare state [1+0i, 0+0i] on S\nmeasure o on S basis basis1 result r\nmeasure o on S basis basis1 result r\n", "bound twice", 2),
         ("prepare state [1+0i, 0+0i] on S\nprepare state [1+0i, 0+0i] on S\n", "prepared twice", 1),
