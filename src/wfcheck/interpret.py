@@ -26,12 +26,15 @@ only what one history fixes: the global state (projected only by
 collapsing events), the record facts and bound results so far, the pins
 applied, and a weight equal to the joint probability of that history.
 Every group expands through one routine, a single event being a group
-of one.  Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born
-rule on the branch state conditioned on the pool's facts from earlier
-groups.  Conditioning projects record pointer values and is well defined
-as long as those records have not been disturbed since; otherwise
-enumeration raises ``qcore.ZeroProbabilityError``.  ``run`` builds the
-ledger and the anomaly notes for its sampled history only.
+of one.  Branches that share a state node share its kernel work within a
+group: each distinct state is evolved, measured and projected once.
+Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born rule on
+the branch state conditioned on the pool's facts from earlier groups.
+Conditioning projects record pointer values and is well defined as long
+as neither those records nor records correlated with them have been
+collapsed since; otherwise enumeration raises
+``qcore.ZeroProbabilityError``.  ``run`` builds the ledger and the
+anomaly notes for its sampled history only.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
 enumerate every branch exactly (capped at ``BRANCH_LIMIT``), and
@@ -41,6 +44,7 @@ point in the timeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -345,20 +349,16 @@ class _Branch:
 
 def _condition_on_facts(
     state: qcore.StateVector,
-    branch: _Branch,
-    members: frozenset[str],
+    facts: tuple[tuple[str, Label], ...],
     comp: _Compiled,
 ) -> qcore.StateVector:
-    for key, value in branch.facts:
-        writer = comp.writers[key]
-        if writer.agent not in members:
-            continue
+    for key, value in facts:
         try:
-            state = qcore.project(state, writer.readout, value)
+            state = qcore.project(state, comp.writers[key].readout, value)
         except qcore.ZeroProbabilityError as e:
             raise qcore.ZeroProbabilityError(
                 f"conditioning on fact {key!r}={value!r} has zero probability; "
-                "the record was disturbed after the fact was produced"
+                "the record, or a record correlated with it, was disturbed after the fact was produced"
             ) from e
     return state
 
@@ -375,26 +375,43 @@ def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerE
     return entries
 
 
-def _stable_children(ev: Union[_CMeasure, _CRead], branch: _Branch) -> list[_Branch]:
-    out = []
-    for label, p in _distribution(branch.state, ev.spec):
-        out.append(replace(
-            branch,
-            state=qcore.project(branch.state, ev.spec, label),
-            weight=branch.weight * p,
-            results=branch.results + ((ev.result, label),),
-        ))
-    return out
+def _shared(memo: dict, state: qcore.StateVector, key: tuple, work):
+    """``work()`` once per state node and key within a group.  The entry keeps
+    ``state`` alive, so its id cannot be reused while the group runs."""
+    k = (id(state),) + key
+    if k not in memo:
+        memo[k] = (state, work())
+    return memo[k][1]
 
 
-def _pinned_child(ev: _CRead, branch: _Branch) -> _Branch:
+def _split(memo: dict, state: qcore.StateVector, ev: _CEvent, spec: qcore.BasisSpec):
+    """(label, p, projected state) for each outcome of a collapsing event."""
+    return _shared(memo, state, (ev.index,), lambda: [
+        (label, p, qcore.project(state, spec, label)) for label, p in _distribution(state, spec)
+    ])
+
+
+def _stable_children(memo: dict, ev: Union[_CMeasure, _CRead], branch: _Branch) -> list[_Branch]:
+    return [
+        replace(branch, state=projected, weight=branch.weight * p,
+                results=branch.results + ((ev.result, label),))
+        for label, p, projected in _split(memo, branch.state, ev, ev.spec)
+    ]
+
+
+def _pinned_child(memo: dict, ev: _CRead, branch: _Branch) -> _Branch:
     # a pin onto a zero-probability outcome leaves the state unprojected
     value = branch.fact(ev.record)
-    p = float(qcore.born_distribution(branch.state, ev.spec).get(value, 0.0))
-    anomalous = p <= qcore.PROB_EPS
+
+    def pin():
+        p = float(qcore.born_distribution(branch.state, ev.spec).get(value, 0.0))
+        anomalous = p <= qcore.PROB_EPS
+        return p, anomalous, branch.state if anomalous else qcore.project(branch.state, ev.spec, value)
+
+    p, anomalous, state = _shared(memo, branch.state, (ev.index, value), pin)
     return replace(
         branch,
-        state=branch.state if anomalous else qcore.project(branch.state, ev.spec, value),
+        state=state,
         results=branch.results + ((ev.result, value),),
         pins=branch.pins + (PinRecord(ev.index, ev.observer, ev.record, value, p, anomalous),),
     )
@@ -449,17 +466,19 @@ def _expand_group(
     group: _Group,
     branch: _Branch,
     rules: RuleSet,
+    memo: dict,
 ) -> list[_Branch]:
     # dynamics first: all unitaries act before any outcome is drawn
     state = branch.state
-    for u in group.unitaries:
-        state = qcore.apply_local(state, u)
+    if group.unitaries:
+        state = _shared(memo, state, (), lambda: functools.reduce(qcore.apply_local, group.unitaries, state))
     children = [replace(branch, state=state)] if group.unitaries else [branch]
     if not rules.collapses_on_interact:
         # simultaneous facts: each conditional sees pre-group facts only
         for ev in group.interacts:
-            conditioned = _condition_on_facts(state, branch, ev.pool, comp)
-            dist = _distribution(conditioned, ev.readout)
+            facts = tuple((k, v) for k, v in branch.facts if comp.writers[k].agent in ev.pool)
+            dist = _shared(memo, state, (ev.index, facts), lambda: _distribution(
+                _condition_on_facts(state, facts, comp), ev.readout))
             next_children = []
             for child in children:
                 for label, p in dist:
@@ -472,20 +491,16 @@ def _expand_group(
     for ev in group.events:
         if isinstance(ev, _CInteract):
             if rules.collapses_on_interact:
-                next_children = []
-                for child in children:
-                    for label, p in _distribution(child.state, ev.readout):
-                        next_children.append(replace(
-                            child,
-                            state=qcore.project(child.state, ev.readout, label),
-                            weight=child.weight * p,
-                            facts=child.facts + ((ev.record, label),),
-                        ))
-                children = next_children
+                children = [
+                    replace(child, state=projected, weight=child.weight * p,
+                            facts=child.facts + ((ev.record, label),))
+                    for child in children
+                    for label, p, projected in _split(memo, child.state, ev, ev.readout)
+                ]
         elif isinstance(ev, _CRead) and ev.pinnable and rules.pins_reads:
-            children = [_pinned_child(ev, child) for child in children]
+            children = [_pinned_child(memo, ev, child) for child in children]
         elif isinstance(ev, (_CMeasure, _CRead)):
-            children = [c for child in children for c in _stable_children(ev, child)]
+            children = [c for child in children for c in _stable_children(memo, ev, child)]
     return children
 
 
@@ -493,9 +508,10 @@ def _execute(comp: _Compiled, rules: RuleSet, chooser=None) -> list[_Branch]:
     """Expand the branch tree; with a chooser, follow a single sampled path."""
     branches = [_Branch(state=comp.initial, weight=1.0)]
     for group in comp.groups:
+        memo: dict = {}  # kernel work per state node, shared by this group's branches
         new: list[_Branch] = []
         for b in branches:
-            children = _expand_group(comp, group, b, rules)
+            children = _expand_group(comp, group, b, rules, memo)
             if chooser is not None:
                 children = [chooser(b, children)]
             new.extend(children)
@@ -705,17 +721,23 @@ def perspective(
 
 
 def _mixture(states: list[tuple[float, qcore.StateVector]]) -> Union[qcore.StateVector, qcore.DensityMatrix]:
-    layout = states[0][1].layout
-    rho = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
+    # branches sharing a state node contribute one outer product
+    nodes: dict[int, list] = {}
     for w, psi in states:
-        rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    vals, vecs = np.linalg.eigh(rho)
-    if vals[-1] >= 1.0 - 1e-12:
+        nodes.setdefault(id(psi), [0.0, psi])[0] += w
+    layout = states[0][1].layout
+    if len(nodes) == 1:
+        vec = states[0][1].amplitudes
+    else:
+        rho = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
+        for w, psi in nodes.values():
+            rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        vals, vecs = np.linalg.eigh(rho)
+        if vals[-1] < 1.0 - 1e-12:
+            return qcore.DensityMatrix(layout, rho)
         vec = vecs[:, -1]
-        pivot = np.argmax(np.abs(vec))
-        vec = vec * (abs(vec[pivot]) / vec[pivot])
-        return qcore.StateVector(layout, vec)
-    return qcore.DensityMatrix(layout, rho)
+    pivot = np.argmax(np.abs(vec))
+    return qcore.StateVector(layout, vec * (abs(vec[pivot]) / vec[pivot]))
 
 
 def _common_knowledge(

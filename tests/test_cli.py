@@ -53,6 +53,25 @@ read w record alice.A1 result r
 interact alice on S2 basis basis1 record A2
 """
 
+# bob's fact B is never measured or read, but the read of carol's record
+# collapses the GHZ state B is correlated with, and B conditions bob's B2
+CORRELATED_READ = """scenario correlated_read
+system S1 2
+system S2 2
+system S3 2
+system S5 2
+agent bob record B 2 init 0 record B2 2 init 0
+agent carol record C 2 init 0
+observer w
+prepare ghz on S1, S2, S3
+partition p group bob, carol
+interact bob on S2 basis basis1 record B
+interact carol on S3 basis basis1 record C
+read w record carol.C result r
+prepare state [1+0i, 0+0i] on S5
+interact bob on S5 basis basis1 record B2
+"""
+
 CHAIN3 = """scenario chain3
 system S1 2
 system S2 2
@@ -249,17 +268,18 @@ class TestRunCommand:
             assert "Traceback" not in err
 
     def test_disturbed_conditioning_record_exit_1_under_rqm5(self, capsys, tmp_path):
-        path = tmp_path / "reread.wfs"
-        path.write_text(REREAD)
-        code, out, err = invoke(capsys, "run", str(path), "--rules", "rqm5")
-        assert code == 1
-        assert out == ""
-        assert err == (
-            f"{path}: conditioning on fact 'alice.A1'=0 has zero probability; "
-            "the record was disturbed after the fact was produced\n"
-        )
-        for rules in ("orthodox", "cpl"):
-            assert invoke(capsys, "run", str(path), "--rules", rules)[0] == 0
+        for text, fact in ((REREAD, "'alice.A1'=0"), (CORRELATED_READ, "'bob.B'=0")):
+            path = tmp_path / "disturbed.wfs"
+            path.write_text(text)
+            code, out, err = invoke(capsys, "run", str(path), "--rules", "rqm5")
+            assert code == 1
+            assert out == ""
+            assert err == (
+                f"{path}: conditioning on fact {fact} has zero probability; "
+                "the record, or a record correlated with it, was disturbed after the fact was produced\n"
+            )
+            for rules in ("orthodox", "cpl"):
+                assert invoke(capsys, "run", str(path), "--rules", rules)[0] == 0
 
     def test_branch_limit_exit_1(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "chain3.wfs"

@@ -14,6 +14,7 @@ P(different) = sum over other labels of c^2 = 0.42 unconditioned; the
 cross-perspective pin forces agreement instead.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -456,6 +457,53 @@ def test_partition_applies_only_to_later_interactions(before_bob, want):
     text = LATE.format(mid=partition, end="") if before_bob else LATE.format(mid="", end=partition)
     joint = it.exact_joint(sc.parse(text), it.RuleSet.rqm5())
     assert _match_probability(joint) == pytest.approx(want, abs=1e-12)
+
+
+def _chain(probs):
+    """n systems prepared independently; friend fi copies Si into its record
+    A; the outsider w reads every record."""
+    n = len(probs)
+    lines = ["scenario chain"] + [f"system S{i} 2" for i in range(1, n + 1)]
+    lines += [f"agent f{i} record A 2 init 0" for i in range(1, n + 1)] + ["observer w"]
+    lines += [f"prepare state [{math.sqrt(p)!r}+0i, {math.sqrt(1 - p)!r}+0i] on S{i}"
+              for i, p in enumerate(probs, start=1)]
+    lines += [f"interact f{i} on S{i} basis basis1 record A" for i in range(1, n + 1)]
+    lines += [f"read w record f{i}.A result r{i}" for i in range(1, n + 1)]
+    return sc.parse("\n".join(lines) + "\n")
+
+
+class TestChain:
+    PROBS = (0.2, 0.35, 0.55, 0.7)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", it.RULE_KINDS)
+    def test_closed_forms(self, n, kind):
+        # keys are (a_1..a_n, r_1..r_n); p_i(0) = PROBS[i]
+        dist = [(p, 1 - p) for p in self.PROBS[:n]]
+        want = {}
+        for a in itertools.product((0, 1), repeat=n):
+            for r in itertools.product((0, 1), repeat=n):
+                pa = math.prod(d[v] for d, v in zip(dist, a))
+                if kind == "rqm5":
+                    want[a + r] = pa * math.prod(d[v] for d, v in zip(dist, r))
+                elif a == r:
+                    want[a + r] = pa
+        joint = it.exact_joint(_chain(self.PROBS[:n]), it.RuleSet(kind))
+        for point in set(want) | set(joint):
+            assert joint.get(point, 0.0) == pytest.approx(want.get(point, 0.0), abs=1e-12)
+
+    def test_rqm5_projects_each_state_node_once(self, monkeypatch):
+        # the 2^4 fact branches share one state; read k splits 2^(k-1) nodes
+        calls = []
+        project = qcore.project
+
+        def counting(*args):
+            calls.append(1)
+            return project(*args)
+
+        monkeypatch.setattr(qcore, "project", counting)
+        it.exact_joint(_chain(self.PROBS), it.RuleSet.rqm5())
+        assert len(calls) <= 2 * (2 ** 4 - 1)
 
 
 class TestValidationGate:
