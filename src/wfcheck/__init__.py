@@ -2,8 +2,9 @@
 
 The package is organized in four layers:
 
-- :mod:`wfcheck.qcore`: dense linear-algebra kernel (states, unitaries,
-  projective measurement, partial trace, Schmidt decomposition).
+- :mod:`wfcheck.qcore`: state-vector kernel (states, unitaries,
+  projective measurement, partial trace, Schmidt decomposition) that
+  the engine runs on one state factor at a time.
 - :mod:`wfcheck.scenario`: a small line-oriented language describing
   systems, agents with memory records, observers, and a timeline of
   preparation, entangling interaction, measurement, and record readout.

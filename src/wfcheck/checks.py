@@ -215,6 +215,17 @@ def _readback_scenario(c0: float, c1: float) -> sc.Scenario:
     )
 
 
+def _readout_distribution(rows, conditioning: dict) -> dict:
+    total = 0.0
+    dist: dict = {}
+    for (_, label), p in rows:
+        total += p
+        dist[label] = dist.get(label, 0.0) + p
+    if total <= qcore.PROB_EPS:
+        raise ValueError(f"conditioning {conditioning!r} has zero probability")
+    return {k: v / total for k, v in dist.items()}
+
+
 def _match_probability(joint: dict) -> float:
     return float(sum(p for k, p in joint.items() if k[0] == k[1]))
 
@@ -236,11 +247,13 @@ def epr_correlation_check(c) -> ContradictionReport:
     p_separate = _match_probability(it.exact_joint(_pair_scenario(c0, c1, False), it.RuleSet.rqm5()))
     p_joint = _match_probability(it.exact_joint(_pair_scenario(c0, c1, True), it.RuleSet.rqm5()))
 
-    readback = _readback_scenario(c0, c1)
-    base = it.predicted_distribution(readback, it.RuleSet.rqm5(), "bob", "rb")
+    # the readout rb's distribution, alone and given each value of alice.A,
+    # all from one table keyed (alice.A, rb)
+    readback = it.exact_joint(_readback_scenario(c0, c1), it.RuleSet.rqm5())
+    base = _readout_distribution(readback.items(), {})
     invariance_gap = 0.0
     for v in (0, 1):
-        cond = it.predicted_distribution(readback, it.RuleSet.rqm5(), "bob", "rb", {"alice.A": v})
+        cond = _readout_distribution(((k, p) for k, p in readback.items() if k[0] == v), {"alice.A": v})
         for label in base:
             invariance_gap = max(invariance_gap, abs(cond.get(label, 0.0) - base[label]))
 

@@ -137,8 +137,10 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
     scenario = _read_scenario(args.file)
     rules = it.RuleSet(args.rules)
     try:
-        result = it.run(scenario, rules, seed=args.seed)
-        joint = it.exact_joint(scenario, rules)
+        # _read_scenario validated it; one compiled plan serves both
+        comp = it._compile(scenario)
+        result = it._run(comp, rules, args.seed)
+        joint = it._exact_joint(comp, rules)
     except (ValueError, it.TooManyBranchesError) as exc:
         raise _Failure(EXIT_USAGE, f"{args.file}: {exc}") from exc
     keys = it.outcome_keys(scenario)

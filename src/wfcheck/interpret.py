@@ -26,8 +26,21 @@ only what one history fixes: the global state (projected only by
 collapsing events), the record facts and bound results so far, the pins
 applied, and a weight equal to the joint probability of that history.
 Every group expands through one routine, a single event being a group
-of one.  Branches that share a state node share its kernel work within a
-group: each distinct state is evolved, measured and projected once.
+of one.
+
+The global state is kept factored: a tuple of ``StateVector`` factors
+over disjoint sets of subsystems, one per subsystem at the start.  A
+preparation replaces the factors of its fresh targets; an interaction,
+measurement, readout or conditioning merges only the factors its
+support touches and runs the kernel on that merge.  A projection onto a
+pointer state splits the measured targets back off, exactly, unless a
+later event joins them with other subsystems again.  Kernel work is
+shared per factor within a group: a factor a group leaves alone is one
+object in every branch, and each distinct factor is evolved, measured
+and projected once.  Perspectives are built dense, over the whole layout
+in declaration order (the design follows the product-state simulators
+of Cirq, https://github.com/quantumlib/Cirq).
+
 Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born rule on
 the branch state conditioned on the pool's facts from earlier groups.
 Conditioning projects record pointer values and is well defined as long
@@ -163,7 +176,7 @@ class RunResult:
 @dataclass(frozen=True)
 class _CPrepare:
     index: int
-    unitary: qcore.Unitary
+    state: qcore.StateVector  # replaces the fresh targets' factors
 
 
 @dataclass(frozen=True)
@@ -203,7 +216,7 @@ class _Group:
     """One event group as the branch engine expands it."""
 
     events: tuple[_CEvent, ...]
-    unitaries: tuple[qcore.Unitary, ...]  # all act before any outcome is drawn
+    dynamics: tuple[Union[_CPrepare, _CInteract], ...]  # all act before any outcome is drawn
     interacts: tuple[_CInteract, ...]
 
 
@@ -211,11 +224,13 @@ class _Group:
 class _Compiled:
     scenario: sc.Scenario
     layout: qcore.SpaceLayout
-    initial: qcore.StateVector
+    order: dict[str, int]  # subsystem id -> its position in the layout
+    initial: tuple[qcore.StateVector, ...]  # one factor per subsystem
     events: tuple[_CEvent, ...]  # partitions excluded; they only set pools
     groups: tuple[_Group, ...]
     writers: dict[str, _CInteract]  # record key -> the interaction that writes it
     intact_records: frozenset[str]  # written records no later event measures or reads
+    rejoined: frozenset[int]  # collapsing events whose targets a later event joins with others
 
 
 def _state_amplitudes(expr: sc.StateExpr) -> np.ndarray:
@@ -224,13 +239,6 @@ def _state_amplitudes(expr: sc.StateExpr) -> np.ndarray:
     if isinstance(expr, sc.SchmidtState):
         return qcore.correlated_pair_amplitudes((expr.c0, expr.c1))
     return np.asarray(expr.amplitudes, dtype=complex)
-
-
-def _injection_unitary(layout: qcore.SpaceLayout, psi: np.ndarray) -> qcore.Unitary:
-    # any unitary sending |0...0> to psi works; targets are guaranteed fresh
-    first = np.asarray([psi], dtype=complex)
-    rows = np.vstack([first, qcore._orthonormal_completion(first, layout.total_dimension)])
-    return qcore.Unitary(layout, rows.T.copy())
 
 
 # validation guarantees every basis fits its targets: basis2/basis3 a single
@@ -266,14 +274,12 @@ def _compile(s: sc.Scenario) -> _Compiled:
     """Lay out a validated scenario: everything the timeline fixes."""
     layout = sc.layout_of(s)
     dims = dict(layout.subsystems)
+    order = {sid: i for i, sid in enumerate(layout.ids)}
     record_init = {sc.record_key(a.name, r.name): r.init for a in s.agents for r in a.records}
-
-    indices = []
-    for sid, _ in layout.subsystems:
-        indices.append(record_init.get(sid, 0))
-    amps = np.zeros(layout.total_dimension, dtype=complex)
-    amps[np.ravel_multi_index(tuple(indices), layout.dims)] = 1.0
-    initial = qcore.StateVector(layout, amps)
+    initial = tuple(
+        qcore.StateVector(layout.sublayout((sid,)), np.eye(dim, dtype=complex)[record_init.get(sid, 0)])
+        for sid, dim in layout.subsystems
+    )
 
     pools: dict[str, frozenset[str]] = {}
     writers: dict[str, _CInteract] = {}
@@ -286,8 +292,8 @@ def _compile(s: sc.Scenario) -> _Compiled:
                 pools.update(dict.fromkeys(members, frozenset(members)))
             continue
         if isinstance(ev, sc.Prepare):
-            sub = layout.sublayout(ev.targets)
-            cev: _CEvent = _CPrepare(i, _injection_unitary(sub, _state_amplitudes(ev.state)))
+            prepared = qcore.StateVector(layout.sublayout(ev.targets), _state_amplitudes(ev.state))
+            cev: _CEvent = _CPrepare(i, qcore.permute(prepared, sorted(ev.targets, key=order.get)))
         elif isinstance(ev, sc.Interact):
             targets = tuple((t, dims[t]) for t in ev.targets)
             bspec = _basis_spec(s, ev.basis, targets)
@@ -313,9 +319,9 @@ def _compile(s: sc.Scenario) -> _Compiled:
     for evs in grouped:
         if len(evs) > 1:
             _check_commuting(layout, evs)
-        unitaries = tuple(ev.unitary for ev in evs if isinstance(ev, (_CPrepare, _CInteract)))
+        dynamics = tuple(ev for ev in evs if isinstance(ev, (_CPrepare, _CInteract)))
         interacts = tuple(ev for ev in evs if isinstance(ev, _CInteract))
-        groups.append(_Group(evs, unitaries, interacts))
+        groups.append(_Group(evs, dynamics, interacts))
 
     # a fact can condition its holder's perspective only while the record
     # subsystem stays untouched by stable events after its write
@@ -325,16 +331,31 @@ def _compile(s: sc.Scenario) -> _Compiled:
             intact -= set(ev.spec.target_ids)
         elif isinstance(ev, _CInteract):
             intact.add(ev.record)
-    return _Compiled(s, layout, initial, tuple(events), tuple(groups), writers, frozenset(intact))
+    # splitting measured targets off their factor gains nothing when a later
+    # event merges them with other subsystems again
+    rejoined = set()
+    for i, ev in enumerate(events):
+        targets = set(ev.readout.target_ids if isinstance(ev, _CInteract) else _support(ev))
+        for later in events[i + 1:]:
+            support = set(_support(later))
+            if support & targets and support - targets:
+                rejoined.add(ev.index)
+    return _Compiled(s, layout, order, initial, tuple(events), tuple(groups), writers,
+                     frozenset(intact), frozenset(rejoined))
 
 
 # ---------------------------------------------------------------------------
 # branch engine
 
 
+# factors over disjoint subsystems, each in layout order, sorted by their
+# first subsystem; branches holding the same factor objects share a state node
+_State = tuple[qcore.StateVector, ...]
+
+
 @dataclass(frozen=True)
 class _Branch:
-    state: qcore.StateVector
+    state: _State
     weight: float
     facts: tuple[tuple[str, Label], ...] = ()      # (record key, outcome) in event order
     results: tuple[tuple[str, Label], ...] = ()    # (result name, outcome) in event order
@@ -345,6 +366,73 @@ class _Branch:
             if k == record:
                 return v
         raise KeyError(record)
+
+
+def _product(factors: _State, order: dict[str, int]) -> qcore.StateVector:
+    """Tensor product of factors, its subsystems in layout order."""
+    if not factors:  # a scenario without subsystems
+        return qcore.StateVector(qcore.SpaceLayout(()), np.ones(1, dtype=complex))
+    if len(factors) == 1:
+        return factors[0]
+    subsystems = [sub for f in factors for sub in f.layout.subsystems]
+    perm = sorted(range(len(subsystems)), key=lambda a: order[subsystems[a][0]])
+    amps = functools.reduce(np.kron, [f.amplitudes for f in factors])
+    amps = amps.reshape([d for _, d in subsystems]).transpose(perm).reshape(-1)
+    return qcore.StateVector(qcore.SpaceLayout(tuple(subsystems[a] for a in perm)), amps)
+
+
+def _shared(memo: dict, nodes: _State, key: tuple, work):
+    """``work()`` once per group for the factors ``nodes`` and ``key``.  The
+    entry keeps ``nodes`` alive, so their ids cannot be reused while the
+    group runs; a factor a group leaves alone is one object in every branch."""
+    k = tuple(map(id, nodes)) + key
+    if k not in memo:
+        memo[k] = (nodes, work())
+    return memo[k][1]
+
+
+def _touch(memo: dict, comp: _Compiled, state: _State, ids) -> tuple[_State, qcore.StateVector]:
+    """The factors ``ids`` leaves alone, and the merge of those it touches."""
+    ids = set(ids)
+    rest = tuple(f for f in state if ids.isdisjoint(f.layout.ids))
+    touched = tuple(f for f in state if not ids.isdisjoint(f.layout.ids))
+    if len(touched) == 1:
+        return rest, touched[0]
+    return rest, _shared(memo, touched, ("merge",), lambda: _product(touched, comp.order))
+
+
+def _with(comp: _Compiled, rest: _State, parts: _State) -> _State:
+    return tuple(sorted(rest + parts, key=lambda f: comp.order[f.layout.ids[0]]))
+
+
+def _born(memo: dict, factor: qcore.StateVector, spec: qcore.BasisSpec) -> dict[Label, float]:
+    return _shared(memo, (factor,), ("born", id(spec)), lambda: qcore.born_distribution(factor, spec))
+
+
+def _collapsed(
+    memo: dict, comp: _Compiled, factor: qcore.StateVector, spec: qcore.BasisSpec, label: Label, split: bool,
+) -> _State:
+    """The factor projected on one outcome, as factors.
+
+    ``project`` builds (basis vector) x (residual), so when the basis vector
+    is a pointer state (one nonzero entry) the measured targets split off
+    exactly: the residual is a row of the projected tensor.
+    """
+    def work():
+        projected = qcore.project(factor, spec, label)
+        vec = spec.vectors[spec.labels.index(label)]
+        (nonzero,) = np.nonzero(vec)
+        if not split or len(nonzero) != 1 or len(spec.targets) == len(factor.layout.subsystems):
+            return (projected,)
+        k = nonzero[0]
+        positions = factor.layout.positions(spec.target_ids)
+        rows = np.moveaxis(projected.tensor_view(), positions, range(len(positions))).reshape(spec.dim, -1)
+        rest = qcore.SpaceLayout(tuple(s for s in factor.layout.subsystems if s[0] not in spec.target_ids))
+        measured = qcore.permute(qcore.StateVector(qcore.SpaceLayout(spec.targets), vec),
+                                 sorted(spec.target_ids, key=comp.order.get))
+        return (measured, qcore.StateVector(rest, rows[k] / vec[k]))
+
+    return _shared(memo, (factor,), ("project", id(spec), label, split), work)
 
 
 def _condition_on_facts(
@@ -375,40 +463,73 @@ def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerE
     return entries
 
 
-def _shared(memo: dict, state: qcore.StateVector, key: tuple, work):
-    """``work()`` once per state node and key within a group.  The entry keeps
-    ``state`` alive, so its id cannot be reused while the group runs."""
-    k = (id(state),) + key
-    if k not in memo:
-        memo[k] = (state, work())
-    return memo[k][1]
+def _evolve(memo: dict, comp: _Compiled, state: _State, group: _Group) -> _State:
+    """The group's preparations and unitaries, in event order."""
+    def work():
+        out = state
+        for ev in group.dynamics:
+            if isinstance(ev, _CPrepare):
+                # the targets are fresh, each still its own initial factor
+                rest = tuple(f for f in out if f.layout.ids[0] not in ev.state.layout.ids)
+                out = _with(comp, rest, (ev.state,))
+            else:
+                rest, factor = _touch(memo, comp, out, ev.unitary.layout.ids)
+                evolved = _shared(memo, (factor,), ("apply", ev.index),
+                                  lambda: qcore.apply_local(factor, ev.unitary))
+                out = _with(comp, rest, (evolved,))
+        return out
+
+    return _shared(memo, state, ("evolve",), work)
 
 
-def _split(memo: dict, state: qcore.StateVector, ev: _CEvent, spec: qcore.BasisSpec):
+def _split(
+    memo: dict, comp: _Compiled, state: _State, ev: _CEvent, spec: qcore.BasisSpec,
+) -> list[tuple[Label, float, _State]]:
     """(label, p, projected state) for each outcome of a collapsing event."""
-    return _shared(memo, state, (ev.index,), lambda: [
-        (label, p, qcore.project(state, spec, label)) for label, p in _distribution(state, spec)
-    ])
+    def work():
+        rest, factor = _touch(memo, comp, state, spec.target_ids)
+        split = ev.index not in comp.rejoined
+        return [
+            (label, p, _with(comp, rest, _collapsed(memo, comp, factor, spec, label, split)))
+            for label, p in _born(memo, factor, spec).items() if p > qcore.PROB_EPS
+        ]
+
+    return _shared(memo, state, ("split", ev.index), work)
 
 
-def _stable_children(memo: dict, ev: Union[_CMeasure, _CRead], branch: _Branch) -> list[_Branch]:
+def _conditioned(memo: dict, comp: _Compiled, state: _State, ev: _CInteract, facts) -> list[tuple[Label, float]]:
+    """An agent outcome's distribution given its pool's earlier facts."""
+    def work():
+        ids = (ev.record,) + tuple(key for key, _ in facts)
+        _, factor = _touch(memo, comp, state, ids)
+        return _shared(memo, (factor,), ("condition", ev.index, facts), lambda: _distribution(
+            _condition_on_facts(factor, facts, comp), ev.readout))
+
+    return _shared(memo, state, ("conditioned", ev.index, facts), work)
+
+
+def _stable_children(memo: dict, comp: _Compiled, ev: Union[_CMeasure, _CRead], branch: _Branch) -> list[_Branch]:
     return [
         replace(branch, state=projected, weight=branch.weight * p,
                 results=branch.results + ((ev.result, label),))
-        for label, p, projected in _split(memo, branch.state, ev, ev.spec)
+        for label, p, projected in _split(memo, comp, branch.state, ev, ev.spec)
     ]
 
 
-def _pinned_child(memo: dict, ev: _CRead, branch: _Branch) -> _Branch:
+def _pinned_child(memo: dict, comp: _Compiled, ev: _CRead, branch: _Branch) -> _Branch:
     # a pin onto a zero-probability outcome leaves the state unprojected
     value = branch.fact(ev.record)
 
     def pin():
-        p = float(qcore.born_distribution(branch.state, ev.spec).get(value, 0.0))
+        rest, factor = _touch(memo, comp, branch.state, ev.spec.target_ids)
+        p = float(_born(memo, factor, ev.spec).get(value, 0.0))
         anomalous = p <= qcore.PROB_EPS
-        return p, anomalous, branch.state if anomalous else qcore.project(branch.state, ev.spec, value)
+        if anomalous:
+            return p, anomalous, branch.state
+        split = ev.index not in comp.rejoined
+        return p, anomalous, _with(comp, rest, _collapsed(memo, comp, factor, ev.spec, value, split))
 
-    p, anomalous, state = _shared(memo, branch.state, (ev.index, value), pin)
+    p, anomalous, state = _shared(memo, branch.state, ("pin", ev.index, value), pin)
     return replace(
         branch,
         state=state,
@@ -470,15 +591,14 @@ def _expand_group(
 ) -> list[_Branch]:
     # dynamics first: all unitaries act before any outcome is drawn
     state = branch.state
-    if group.unitaries:
-        state = _shared(memo, state, (), lambda: functools.reduce(qcore.apply_local, group.unitaries, state))
-    children = [replace(branch, state=state)] if group.unitaries else [branch]
+    if group.dynamics:
+        state = _evolve(memo, comp, state, group)
+    children = [replace(branch, state=state)] if group.dynamics else [branch]
     if not rules.collapses_on_interact:
         # simultaneous facts: each conditional sees pre-group facts only
         for ev in group.interacts:
             facts = tuple((k, v) for k, v in branch.facts if comp.writers[k].agent in ev.pool)
-            dist = _shared(memo, state, (ev.index, facts), lambda: _distribution(
-                _condition_on_facts(state, facts, comp), ev.readout))
+            dist = _conditioned(memo, comp, state, ev, facts)
             next_children = []
             for child in children:
                 for label, p in dist:
@@ -495,12 +615,12 @@ def _expand_group(
                     replace(child, state=projected, weight=child.weight * p,
                             facts=child.facts + ((ev.record, label),))
                     for child in children
-                    for label, p, projected in _split(memo, child.state, ev, ev.readout)
+                    for label, p, projected in _split(memo, comp, child.state, ev, ev.readout)
                 ]
         elif isinstance(ev, _CRead) and ev.pinnable and rules.pins_reads:
-            children = [_pinned_child(memo, ev, child) for child in children]
+            children = [_pinned_child(memo, comp, ev, child) for child in children]
         elif isinstance(ev, (_CMeasure, _CRead)):
-            children = [c for child in children for c in _stable_children(memo, ev, child)]
+            children = [c for child in children for c in _stable_children(memo, comp, ev, child)]
     return children
 
 
@@ -523,11 +643,6 @@ def _execute(comp: _Compiled, rules: RuleSet, chooser=None) -> list[_Branch]:
     return branches
 
 
-def _enumerate_leaves(s: sc.Scenario, rules: RuleSet) -> list[_Branch]:
-    _require_valid(s)
-    return _execute(_compile(s), rules)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -535,7 +650,11 @@ def _enumerate_leaves(s: sc.Scenario, rules: RuleSet) -> list[_Branch]:
 def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
     """Sample a single history; identical (scenario, rules, seed) gives identical output."""
     _require_valid(s)
-    comp = _compile(s)
+    return _run(_compile(s), rules, seed)
+
+
+def _run(comp: _Compiled, rules: RuleSet, seed: int) -> RunResult:
+    s = comp.scenario
     rng = random.Random(seed)
 
     def chooser(parent: _Branch, children: list[_Branch]) -> _Branch:
@@ -551,8 +670,9 @@ def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
         return children[-1]
 
     leaf = _execute(comp, rules, chooser)[0]
+    memo: dict = {}
     perspectives = {
-        name: _branch_perspective(comp, leaf, name)
+        name: _branch_perspective(comp, leaf, name, memo)
         for name in _observer_names(s)
     }
     # the ledger and anomaly notes describe the sampled history only
@@ -581,26 +701,34 @@ def _observer_names(s: sc.Scenario) -> list[str]:
     return [a.name for a in s.agents] + [o.name for o in s.observers]
 
 
-def _agent_view(comp: _Compiled, branch: _Branch, name: str) -> tuple[qcore.StateVector, list[tuple[str, Label]]]:
-    """The branch state conditioned on the intact facts ``name`` holds, and those facts."""
-    state = branch.state
-    held: list[tuple[str, Label]] = []
-    for key, value in branch.facts:
-        writer = comp.writers[key]
-        if writer.agent == name and key in comp.intact_records:
+def _agent_view(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> tuple[_State, list[tuple[str, Label]]]:
+    """The branch state conditioned on the intact facts ``name`` holds, and those
+    facts; branches that share a state node and those facts share one view."""
+    held = [
+        (key, value) for key, value in branch.facts
+        if comp.writers[key].agent == name and key in comp.intact_records
+    ]
+
+    def view():
+        state = branch.state
+        for key, value in held:
+            readout = comp.writers[key].readout
+            rest, factor = _touch(memo, comp, state, readout.target_ids)
             # a stable collapse on an entangled partner can strip a
             # relative fact of support; it stays known, but cannot
-            # steer the state
+            # steer the state.  The view is made dense next, so nothing
+            # is split off.
             try:
-                state = qcore.project(state, writer.readout, value)
+                state = _with(comp, rest, _collapsed(memo, comp, factor, readout, value, False))
             except qcore.ZeroProbabilityError:
                 pass
-            held.append((key, value))
-    return state, held
+        return state
+
+    return _shared(memo, branch.state, ("view", tuple(held)), view), held
 
 
-def _branch_perspective(comp: _Compiled, branch: _Branch, name: str) -> PerspectiveState:
-    state, knowledge = _agent_view(comp, branch, name)
+def _branch_perspective(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> PerspectiveState:
+    state, knowledge = _agent_view(comp, branch, name, memo)
     own_results = {
         ev.result for ev in comp.events
         if isinstance(ev, (_CMeasure, _CRead)) and ev.observer == name
@@ -608,7 +736,8 @@ def _branch_perspective(comp: _Compiled, branch: _Branch, name: str) -> Perspect
     for rname, value in branch.results:
         if rname in own_results:
             knowledge.append((rname, value))
-    return PerspectiveState(name, state, tuple(knowledge))
+    dense = _shared(memo, state, ("dense",), lambda: _product(state, comp.order))
+    return PerspectiveState(name, dense, tuple(knowledge))
 
 
 def outcome_keys(s: sc.Scenario) -> tuple[str, ...]:
@@ -624,9 +753,14 @@ def outcome_keys(s: sc.Scenario) -> tuple[str, ...]:
 
 def exact_joint(s: sc.Scenario, rules: RuleSet) -> dict[tuple[Label, ...], float]:
     """Exact joint distribution over all outcome variables, keyed per outcome_keys."""
-    keys = outcome_keys(s)
+    _require_valid(s)
+    return _exact_joint(_compile(s), rules)
+
+
+def _exact_joint(comp: _Compiled, rules: RuleSet) -> dict[tuple[Label, ...], float]:
+    keys = outcome_keys(comp.scenario)
     out: dict[tuple[Label, ...], float] = {}
-    for leaf in _enumerate_leaves(s, rules):
+    for leaf in _execute(comp, rules):
         values = dict(leaf.facts)
         values.update(dict(leaf.results))
         point = tuple(values[k] for k in keys)
@@ -659,9 +793,10 @@ def predicted_distribution(
         if key not in written:
             raise ValueError(f"conditioning on an unwritten record: {key!r}")
 
+    _require_valid(s)
     total = 0.0
     dist: dict[Label, float] = {}
-    for leaf in _enumerate_leaves(s, rules):
+    for leaf in _execute(_compile(s), rules):
         facts = dict(leaf.facts)
         if any(facts.get(k) != v for k, v in conditioning.items()):
             continue
@@ -714,23 +849,25 @@ def perspective(
     if not kept or total <= qcore.PROB_EPS:
         raise ValueError(f"no branch is compatible with {given!r}")
 
-    states = [(b.weight / total, _agent_view(tcomp, b, observer)[0]) for b in kept]
-    payload = _mixture(states)
+    memo: dict = {}
+    states = [(b.weight / total, _agent_view(tcomp, b, observer, memo)[0]) for b in kept]
+    payload = _mixture(tcomp, states)
     knowledge = _common_knowledge(kept, tcomp, observer, given)
     return PerspectiveState(observer, payload, knowledge)
 
 
-def _mixture(states: list[tuple[float, qcore.StateVector]]) -> Union[qcore.StateVector, qcore.DensityMatrix]:
-    # branches sharing a state node contribute one outer product
-    nodes: dict[int, list] = {}
-    for w, psi in states:
-        nodes.setdefault(id(psi), [0.0, psi])[0] += w
-    layout = states[0][1].layout
+def _mixture(comp: _Compiled, states: list[tuple[float, _State]]) -> Union[qcore.StateVector, qcore.DensityMatrix]:
+    # branches sharing a state node, the same factors, contribute one outer product
+    nodes: dict[tuple[int, ...], list] = {}
+    for w, state in states:
+        nodes.setdefault(tuple(map(id, state)), [0.0, state])[0] += w
+    layout = comp.layout
     if len(nodes) == 1:
-        vec = states[0][1].amplitudes
+        vec = _product(states[0][1], comp.order).amplitudes
     else:
         rho = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
-        for w, psi in nodes.values():
+        for w, state in nodes.values():
+            psi = _product(state, comp.order)
             rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
         vals, vecs = np.linalg.eigh(rho)
         if vals[-1] < 1.0 - 1e-12:

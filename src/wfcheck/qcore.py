@@ -1,4 +1,4 @@
-"""Dense state-vector kernel for small composite Hilbert spaces.
+"""State-vector kernel for small composite Hilbert spaces.
 
 Everything here works on explicit complex-double arrays over a declared
 tensor-product layout.  Subsystems are ordered, and amplitude indices are
@@ -10,12 +10,17 @@ partial traces, Schmidt decompositions and the pre-measurement unitaries
 that copy a measured basis index onto a fresh record subsystem.
 
 All floating-point comparisons use an absolute tolerance, 1e-10 unless a
-caller overrides it.  Dimensions are meant to stay small (total dimension
-of a few thousand at most); nothing here is sparse or clever.
+caller overrides it.  Each call acts on one dense vector, which is meant
+to stay small (a few thousand amplitudes at most).  The interpret engine
+keeps a branch state as a product of such vectors, one per group of
+subsystems that events have coupled, and hands the kernel only the factor
+an event touches, so the dimension a call sees is that factor's, not the
+whole layout's.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -59,11 +64,12 @@ class SpaceLayout:
             if dim < 2:
                 raise ValueError(f"subsystem {name!r} has dimension {dim}; every dimension must be >= 2")
 
-    @property
+    # cached: the interpret engine reads the ids of every state factor per event
+    @functools.cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.subsystems)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.subsystems)
 

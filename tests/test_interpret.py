@@ -472,25 +472,71 @@ def _chain(probs):
     return sc.parse("\n".join(lines) + "\n")
 
 
+def _chain_closed_form(probs, kind):
+    """Keys are (a_1..a_n, r_1..r_n); p_i(0) = probs[i]."""
+    n = len(probs)
+    dist = [(p, 1 - p) for p in probs]
+    want = {}
+    for a in itertools.product((0, 1), repeat=n):
+        for r in itertools.product((0, 1), repeat=n):
+            pa = math.prod(d[v] for d, v in zip(dist, a))
+            if kind == "rqm5":
+                want[a + r] = pa * math.prod(d[v] for d, v in zip(dist, r))
+            elif a == r:
+                want[a + r] = pa
+    return want
+
+
+def _recording(monkeypatch, *names):
+    """Record the dimension of the state each named qcore call sees."""
+    dims = []
+    for name in names:
+        def recorded(s, *args, _fn=getattr(qcore, name)):
+            dims.append(s.layout.total_dimension)
+            return _fn(s, *args)
+        monkeypatch.setattr(qcore, name, recorded)
+    return dims
+
+
 class TestChain:
     PROBS = (0.2, 0.35, 0.55, 0.7)
+    PROBS8 = PROBS + (0.15, 0.6, 0.45, 0.8)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("kind", it.RULE_KINDS)
     def test_closed_forms(self, n, kind):
-        # keys are (a_1..a_n, r_1..r_n); p_i(0) = PROBS[i]
-        dist = [(p, 1 - p) for p in self.PROBS[:n]]
-        want = {}
-        for a in itertools.product((0, 1), repeat=n):
-            for r in itertools.product((0, 1), repeat=n):
-                pa = math.prod(d[v] for d, v in zip(dist, a))
-                if kind == "rqm5":
-                    want[a + r] = pa * math.prod(d[v] for d, v in zip(dist, r))
-                elif a == r:
-                    want[a + r] = pa
+        want = _chain_closed_form(self.PROBS[:n], kind)
         joint = it.exact_joint(_chain(self.PROBS[:n]), it.RuleSet(kind))
         for point in set(want) | set(joint):
             assert joint.get(point, 0.0) == pytest.approx(want.get(point, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", it.RULE_KINDS)
+    def test_closed_forms_chain8(self, kind):
+        want = _chain_closed_form(self.PROBS8, kind)
+        joint = it.exact_joint(_chain(self.PROBS8), it.RuleSet(kind))
+        assert set(joint) == set(want)
+        for point, p in want.items():
+            assert abs(joint[point] - p) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["orthodox", "cpl"])
+    def test_kernel_sees_only_touched_factors(self, kind, monkeypatch):
+        # each friend's pair S_i, A_i is one 4-dimensional factor; the dense
+        # global state would have dimension 4^6
+        n = 6
+        dims = _recording(monkeypatch, "project", "born_distribution")
+        it.exact_joint(_chain(self.PROBS8[:n]), it.RuleSet(kind))
+        assert len(dims) <= 8 * n
+        assert max(dims) <= 4
+
+    def test_agent_view_projects_each_node_once(self, monkeypatch):
+        # after the interactions all 2^5 fact branches share one state node,
+        # and f1 holds one of two facts: two distinct views
+        s = _chain(self.PROBS8[:5])
+        after = max(i for i, ev in enumerate(s.timeline) if isinstance(ev, sc.Interact))
+        dims = _recording(monkeypatch, "project")
+        ps = it.perspective(s, it.RuleSet.rqm5(), "f1", after=after)
+        assert len(dims) <= 2
+        assert isinstance(ps.state, qcore.DensityMatrix)
 
     def test_rqm5_projects_each_state_node_once(self, monkeypatch):
         # the 2^4 fact branches share one state; read k splits 2^(k-1) nodes
@@ -504,6 +550,16 @@ class TestChain:
         monkeypatch.setattr(qcore, "project", counting)
         it.exact_joint(_chain(self.PROBS), it.RuleSet.rqm5())
         assert len(calls) <= 2 * (2 ** 4 - 1)
+
+
+@pytest.mark.parametrize("kind", it.RULE_KINDS)
+def test_scenario_without_subsystems(kind):
+    # no factors at all: the state is the one-dimensional vector [1]
+    s = sc.parse("scenario empty\nobserver o\n")
+    assert it.exact_joint(s, it.RuleSet(kind)) == {(): 1.0}
+    state = it.run(s, it.RuleSet(kind), seed=0).perspectives["o"].state
+    assert state.layout.subsystems == () and state.amplitudes.tolist() == [1.0]
+    assert it.perspective(s, it.RuleSet(kind), "o").state.amplitudes.tolist() == [1.0]
 
 
 class TestValidationGate:
