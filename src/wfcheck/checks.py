@@ -34,7 +34,6 @@ from . import qcore
 from . import scenario as sc
 
 VERDICT_TOL = 1e-9
-COEFF_TOL = 1e-8
 MAX_VARIABLES = 20
 
 VERDICTS = ("consistent", "contradiction", "ambiguity")
@@ -113,7 +112,7 @@ def cpl_probability_check(c, r_a: int) -> ContradictionReport:
     if d < 2:
         raise ValueError("need at least two coefficients")
     norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > COEFF_TOL:
+    if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
         raise ValueError(f"coefficients are not normalized: squared norm {norm!r}")
     if not 0 <= r_a < d:
         raise ValueError(f"record value index {r_a} out of range for {d} outcomes")
@@ -215,17 +214,6 @@ def _readback_scenario(c0: float, c1: float) -> sc.Scenario:
     )
 
 
-def _readout_distribution(rows, conditioning: dict) -> dict:
-    total = 0.0
-    dist: dict = {}
-    for (_, label), p in rows:
-        total += p
-        dist[label] = dist.get(label, 0.0) + p
-    if total <= qcore.PROB_EPS:
-        raise ValueError(f"conditioning {conditioning!r} has zero probability")
-    return {k: v / total for k, v in dist.items()}
-
-
 def _match_probability(joint: dict) -> float:
     return float(sum(p for k, p in joint.items() if k[0] == k[1]))
 
@@ -236,9 +224,10 @@ def epr_correlation_check(c) -> ContradictionReport:
     if len(pair) != 2:
         raise ValueError("need exactly two coefficients")
     c0, c1 = pair
-    if abs(c0 * c0 + c1 * c1 - 1.0) > COEFF_TOL:
+    if abs(c0 * c0 + c1 * c1 - 1.0) > qcore.DEFAULT_ATOL:
         raise ValueError(f"coefficients are not normalized: squared norm {c0 * c0 + c1 * c1!r}")
-    if min(abs(c0), abs(c1)) <= COEFF_TOL:
+    # the engine drops outcomes at or below PROB_EPS
+    if min(c0 * c0, c1 * c1) <= qcore.PROB_EPS:
         raise ValueError("degenerate preparation: both coefficients must be nonzero")
     if abs(abs(c0) - abs(c1)) <= qcore.DISTINCT_TOL:
         raise ValueError("degenerate preparation: coefficients must be distinct")
@@ -248,12 +237,14 @@ def epr_correlation_check(c) -> ContradictionReport:
     p_joint = _match_probability(it.exact_joint(_pair_scenario(c0, c1, True), it.RuleSet.rqm5()))
 
     # the readout rb's distribution, alone and given each value of alice.A,
-    # all from one table keyed (alice.A, rb)
-    readback = it.exact_joint(_readback_scenario(c0, c1), it.RuleSet.rqm5())
-    base = _readout_distribution(readback.items(), {})
+    # all from one exact_joint table
+    scenario = _readback_scenario(c0, c1)
+    readback = it.exact_joint(scenario, it.RuleSet.rqm5())
+    keys = it.outcome_keys(scenario)
+    base = it._conditional_marginal(readback, keys, "rb", {})
     invariance_gap = 0.0
     for v in (0, 1):
-        cond = _readout_distribution(((k, p) for k, p in readback.items() if k[0] == v), {"alice.A": v})
+        cond = it._conditional_marginal(readback, keys, "rb", {"alice.A": v})
         for label in base:
             invariance_gap = max(invariance_gap, abs(cond.get(label, 0.0) - base[label]))
 

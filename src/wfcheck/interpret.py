@@ -23,8 +23,10 @@ interaction that writes each record, and each interaction's conditioning
 pool, resolved from the ``partition`` events before it (the default pool
 is the agent alone).  A run is then a tree of branches, each carrying
 only what one history fixes: the global state (projected only by
-collapsing events), the record facts and bound results so far, the pins
-applied, and a weight equal to the joint probability of that history.
+collapsing events), one chronological sequence of outcomes (each agent's
+record fact under its record key, each outside result under its result
+name), the pins applied, and a weight equal to the joint probability of
+that history.
 Every group expands through one routine, a single event being a group
 of one.
 
@@ -192,23 +194,16 @@ class _CInteract:
 
 @dataclass(frozen=True)
 class _CMeasure:
+    """An outside measurement or record readout."""
+
     index: int
     observer: str
     spec: qcore.BasisSpec
     result: str
+    pin: str | None  # record a cpl link pins: set for default pointer-basis readouts only
 
 
-@dataclass(frozen=True)
-class _CRead:
-    index: int
-    observer: str
-    record: str
-    spec: qcore.BasisSpec
-    result: str
-    pinnable: bool  # default pointer-basis readout; explicit bases are never pinned
-
-
-_CEvent = Union[_CPrepare, _CInteract, _CMeasure, _CRead]
+_CEvent = Union[_CPrepare, _CInteract, _CMeasure]
 
 
 @dataclass(frozen=True)
@@ -304,12 +299,12 @@ def _compile(s: sc.Scenario) -> _Compiled:
             cev = writers[key] = _CInteract(i, ev.agent, key, "+".join(ev.targets), u, readout, pool)
         elif isinstance(ev, sc.Measure):
             targets = tuple((t, dims[t]) for t in ev.targets)
-            cev = _CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result)
+            cev = _CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result, None)
         else:
             key = sc.record_key(ev.agent, ev.record)
-            pinnable = ev.basis is None
-            spec = writers[key].readout if pinnable else _basis_spec(s, ev.basis, ((key, dims[key]),))
-            cev = _CRead(i, ev.observer, key, spec, ev.result, pinnable)
+            pin = key if ev.basis is None else None
+            spec = writers[key].readout if pin else _basis_spec(s, ev.basis, ((key, dims[key]),))
+            cev = _CMeasure(i, ev.observer, spec, ev.result, pin)
         events.append(cev)
         if getattr(ev, "concurrent", False):
             grouped[-1] += (cev,)
@@ -327,7 +322,7 @@ def _compile(s: sc.Scenario) -> _Compiled:
     # subsystem stays untouched by stable events after its write
     intact: set[str] = set()
     for ev in events:
-        if isinstance(ev, (_CMeasure, _CRead)):
+        if isinstance(ev, _CMeasure):
             intact -= set(ev.spec.target_ids)
         elif isinstance(ev, _CInteract):
             intact.add(ev.record)
@@ -357,15 +352,11 @@ _State = tuple[qcore.StateVector, ...]
 class _Branch:
     state: _State
     weight: float
-    facts: tuple[tuple[str, Label], ...] = ()      # (record key, outcome) in event order
-    results: tuple[tuple[str, Label], ...] = ()    # (result name, outcome) in event order
+    # (outcome key, label) in the order drawn: record keys for facts, result
+    # names for measurements and readouts; the two never collide, as result
+    # names are identifiers and record keys contain a dot
+    outcomes: tuple[tuple[str, Label], ...] = ()
     pins: tuple[PinRecord, ...] = ()
-
-    def fact(self, record: str) -> Label:
-        for k, v in self.facts:
-            if k == record:
-                return v
-        raise KeyError(record)
 
 
 def _product(factors: _State, order: dict[str, int]) -> qcore.StateVector:
@@ -508,17 +499,17 @@ def _conditioned(memo: dict, comp: _Compiled, state: _State, ev: _CInteract, fac
     return _shared(memo, state, ("conditioned", ev.index, facts), work)
 
 
-def _stable_children(memo: dict, comp: _Compiled, ev: Union[_CMeasure, _CRead], branch: _Branch) -> list[_Branch]:
+def _stable_children(memo: dict, comp: _Compiled, ev: _CMeasure, branch: _Branch) -> list[_Branch]:
     return [
         replace(branch, state=projected, weight=branch.weight * p,
-                results=branch.results + ((ev.result, label),))
+                outcomes=branch.outcomes + ((ev.result, label),))
         for label, p, projected in _split(memo, comp, branch.state, ev, ev.spec)
     ]
 
 
-def _pinned_child(memo: dict, comp: _Compiled, ev: _CRead, branch: _Branch) -> _Branch:
+def _pinned_child(memo: dict, comp: _Compiled, ev: _CMeasure, branch: _Branch) -> _Branch:
     # a pin onto a zero-probability outcome leaves the state unprojected
-    value = branch.fact(ev.record)
+    value = next(v for k, v in branch.outcomes if k == ev.pin)
 
     def pin():
         rest, factor = _touch(memo, comp, branch.state, ev.spec.target_ids)
@@ -533,15 +524,15 @@ def _pinned_child(memo: dict, comp: _Compiled, ev: _CRead, branch: _Branch) -> _
     return replace(
         branch,
         state=state,
-        results=branch.results + ((ev.result, value),),
-        pins=branch.pins + (PinRecord(ev.index, ev.observer, ev.record, value, p, anomalous),),
+        outcomes=branch.outcomes + ((ev.result, value),),
+        pins=branch.pins + (PinRecord(ev.index, ev.observer, ev.pin, value, p, anomalous),),
     )
 
 
 def _support(ev: _CEvent) -> tuple[str, ...]:
     if isinstance(ev, _CInteract):
         return ev.unitary.layout.ids
-    if isinstance(ev, (_CMeasure, _CRead)):
+    if isinstance(ev, _CMeasure):
         return ev.spec.target_ids
     return ()
 
@@ -597,7 +588,9 @@ def _expand_group(
     if not rules.collapses_on_interact:
         # simultaneous facts: each conditional sees pre-group facts only
         for ev in group.interacts:
-            facts = tuple((k, v) for k, v in branch.facts if comp.writers[k].agent in ev.pool)
+            facts = tuple(
+                (k, v) for k, v in branch.outcomes if k in comp.writers and comp.writers[k].agent in ev.pool
+            )
             dist = _conditioned(memo, comp, state, ev, facts)
             next_children = []
             for child in children:
@@ -605,7 +598,7 @@ def _expand_group(
                     next_children.append(replace(
                         child,
                         weight=child.weight * p,
-                        facts=child.facts + ((ev.record, label),),
+                        outcomes=child.outcomes + ((ev.record, label),),
                     ))
             children = next_children
     for ev in group.events:
@@ -613,14 +606,15 @@ def _expand_group(
             if rules.collapses_on_interact:
                 children = [
                     replace(child, state=projected, weight=child.weight * p,
-                            facts=child.facts + ((ev.record, label),))
+                            outcomes=child.outcomes + ((ev.record, label),))
                     for child in children
                     for label, p, projected in _split(memo, comp, child.state, ev, ev.readout)
                 ]
-        elif isinstance(ev, _CRead) and ev.pinnable and rules.pins_reads:
-            children = [_pinned_child(memo, comp, ev, child) for child in children]
-        elif isinstance(ev, (_CMeasure, _CRead)):
-            children = [c for child in children for c in _stable_children(memo, comp, ev, child)]
+        elif isinstance(ev, _CMeasure):
+            if ev.pin is not None and rules.pins_reads:
+                children = [_pinned_child(memo, comp, ev, child) for child in children]
+            else:
+                children = [c for child in children for c in _stable_children(memo, comp, ev, child)]
     return children
 
 
@@ -677,11 +671,12 @@ def _run(comp: _Compiled, rules: RuleSet, seed: int) -> RunResult:
     }
     # the ledger and anomaly notes describe the sampled history only
     entries = tuple(
-        e for key, label in leaf.facts for e in _fact_entries(comp.writers[key], label, rules)
+        e for key, label in leaf.outcomes if key in comp.writers
+        for e in _fact_entries(comp.writers[key], label, rules)
     )
-    read_results = {ev.index: ev.result for ev in comp.events if isinstance(ev, _CRead)}
+    result_names = {ev.index: ev.result for ev in comp.events if isinstance(ev, _CMeasure)}
     anomalies = tuple(
-        f"event {p.event_index}: cross-perspective link forces {read_results[p.event_index]}={p.value!r} "
+        f"event {p.event_index}: cross-perspective link forces {result_names[p.event_index]}={p.value!r} "
         f"on record {p.record!r}, an outcome of probability {p.born_weight:.3g}"
         for p in leaf.pins if p.anomalous
     )
@@ -689,7 +684,7 @@ def _run(comp: _Compiled, rules: RuleSet, seed: int) -> RunResult:
         scenario=s.name,
         rules=rules,
         seed=seed,
-        results=dict(leaf.results),
+        results={key: label for key, label in leaf.outcomes if key not in comp.writers},
         ledger=RelativeFactLedger(entries),
         perspectives=perspectives,
         pins=leaf.pins,
@@ -705,8 +700,8 @@ def _agent_view(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> tupl
     """The branch state conditioned on the intact facts ``name`` holds, and those
     facts; branches that share a state node and those facts share one view."""
     held = [
-        (key, value) for key, value in branch.facts
-        if comp.writers[key].agent == name and key in comp.intact_records
+        (key, value) for key, value in branch.outcomes
+        if key in comp.intact_records and comp.writers[key].agent == name
     ]
 
     def view():
@@ -729,13 +724,10 @@ def _agent_view(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> tupl
 
 def _branch_perspective(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> PerspectiveState:
     state, knowledge = _agent_view(comp, branch, name, memo)
-    own_results = {
-        ev.result for ev in comp.events
-        if isinstance(ev, (_CMeasure, _CRead)) and ev.observer == name
-    }
-    for rname, value in branch.results:
-        if rname in own_results:
-            knowledge.append((rname, value))
+    own_results = {ev.result for ev in comp.events if isinstance(ev, _CMeasure) and ev.observer == name}
+    for key, value in branch.outcomes:
+        if key in own_results:
+            knowledge.append((key, value))
     dense = _shared(memo, state, ("dense",), lambda: _product(state, comp.order))
     return PerspectiveState(name, dense, tuple(knowledge))
 
@@ -761,11 +753,32 @@ def _exact_joint(comp: _Compiled, rules: RuleSet) -> dict[tuple[Label, ...], flo
     keys = outcome_keys(comp.scenario)
     out: dict[tuple[Label, ...], float] = {}
     for leaf in _execute(comp, rules):
-        values = dict(leaf.facts)
-        values.update(dict(leaf.results))
+        values = dict(leaf.outcomes)
         point = tuple(values[k] for k in keys)
         out[point] = out.get(point, 0.0) + leaf.weight
     return out
+
+
+def _conditional_marginal(
+    joint: dict[tuple[Label, ...], float],
+    keys: tuple[str, ...],
+    result: str,
+    conditioning: dict[str, Label],
+) -> dict[Label, float]:
+    """Distribution of ``result`` over the rows of an ``exact_joint`` table,
+    keyed per ``keys``, that agree with ``conditioning``."""
+    at = keys.index(result)
+    fixed = [(keys.index(k), v) for k, v in conditioning.items()]
+    total = 0.0
+    dist: dict[Label, float] = {}
+    for point, p in joint.items():
+        if any(point[i] != v for i, v in fixed):
+            continue
+        total += p
+        dist[point[at]] = dist.get(point[at], 0.0) + p
+    if total <= qcore.PROB_EPS:
+        raise ValueError(f"conditioning {conditioning!r} has zero probability")
+    return {k: v / total for k, v in dist.items()}
 
 
 def predicted_distribution(
@@ -785,27 +798,15 @@ def predicted_distribution(
     if binder.observer != observer:
         raise ValueError(f"result {result!r} is bound by {binder.observer!r}, not {observer!r}")
     conditioning = dict(conditioning or {})
-    written = set()
-    for ev in s.timeline:
-        if isinstance(ev, sc.Interact):
-            written.add(sc.record_key(ev.agent, ev.record))
+    written = {sc.record_key(ev.agent, ev.record) for ev in s.timeline if isinstance(ev, sc.Interact)}
     for key in conditioning:
         if key not in written:
             raise ValueError(f"conditioning on an unwritten record: {key!r}")
 
     _require_valid(s)
-    total = 0.0
-    dist: dict[Label, float] = {}
-    for leaf in _execute(_compile(s), rules):
-        facts = dict(leaf.facts)
-        if any(facts.get(k) != v for k, v in conditioning.items()):
-            continue
-        total += leaf.weight
-        value = dict(leaf.results)[result]
-        dist[value] = dist.get(value, 0.0) + leaf.weight
-    if total <= qcore.PROB_EPS:
-        raise ValueError(f"conditioning {conditioning!r} has zero probability")
-    return {k: v / total for k, v in dist.items()}
+    # every leaf is one row: sibling outcomes differ, so no two leaves share a point
+    joint = _exact_joint(_compile(s), rules)
+    return _conditional_marginal(joint, outcome_keys(s), result, conditioning)
 
 
 def perspective(
@@ -835,16 +836,16 @@ def perspective(
 
     truncated = sc.Scenario(s.name, s.systems, s.agents, s.observers, s.bases, s.timeline[: after + 1])
     tcomp = _compile(truncated)
-    leaves = _execute(tcomp, rules)
 
     given = dict(given or {})
     kept: list[_Branch] = []
-    for leaf in leaves:
-        values = dict(leaf.facts)
-        values.update(dict(leaf.results))
+    known: list[dict[str, Label]] = []  # each kept leaf's outcomes
+    for leaf in _execute(tcomp, rules):
+        values = dict(leaf.outcomes)
         if any(values.get(k) != v for k, v in given.items()):
             continue
         kept.append(leaf)
+        known.append(values)
     total = sum(b.weight for b in kept)
     if not kept or total <= qcore.PROB_EPS:
         raise ValueError(f"no branch is compatible with {given!r}")
@@ -852,7 +853,7 @@ def perspective(
     memo: dict = {}
     states = [(b.weight / total, _agent_view(tcomp, b, observer, memo)[0]) for b in kept]
     payload = _mixture(tcomp, states)
-    knowledge = _common_knowledge(kept, tcomp, observer, given)
+    knowledge = _common_knowledge(known, tcomp, observer, given)
     return PerspectiveState(observer, payload, knowledge)
 
 
@@ -878,27 +879,20 @@ def _mixture(comp: _Compiled, states: list[tuple[float, _State]]) -> Union[qcore
 
 
 def _common_knowledge(
-    kept: list[_Branch],
+    known: list[dict[str, Label]],
     comp: _Compiled,
     observer: str,
     given: dict[str, Label],
 ) -> tuple[tuple[str, Label], ...]:
     candidate_keys: set[str] = set(given)
     for ev in comp.events:
-        if isinstance(ev, (_CMeasure, _CRead)) and ev.observer == observer:
+        if isinstance(ev, _CMeasure) and ev.observer == observer:
             candidate_keys.add(ev.result)
         if isinstance(ev, _CInteract) and ev.agent == observer:
             candidate_keys.add(ev.record)
     pairs: list[tuple[str, Label]] = []
     for key in sorted(candidate_keys):
-        values = set()
-        for b in kept:
-            everything = dict(b.facts)
-            everything.update(dict(b.results))
-            if key in everything:
-                values.add(everything[key])
-            else:
-                values.add(None)
+        values = {outcomes.get(key) for outcomes in known}  # labels are never None
         if len(values) == 1 and None not in values:
             pairs.append((key, values.pop()))
     return tuple(pairs)

@@ -9,8 +9,8 @@ joint bases of several separate readouts built by ``product_basis``),
 partial traces, Schmidt decompositions and the pre-measurement unitaries
 that copy a measured basis index onto a fresh record subsystem.
 
-All floating-point comparisons use an absolute tolerance, 1e-10 unless a
-caller overrides it.  Each call acts on one dense vector, which is meant
+All floating-point comparisons use the absolute tolerance
+``DEFAULT_ATOL`` = 1e-10.  Each call acts on one dense vector, which is meant
 to stay small (a few thousand amplitudes at most).  The interpret engine
 keeps a branch state as a product of such vectors, one per group of
 subsystems that events have coupled, and hands the kernel only the factor
@@ -103,7 +103,6 @@ class StateVector:
 
     layout: SpaceLayout
     amplitudes: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self) -> None:
         arr = _as_state_array(self.amplitudes)
@@ -112,8 +111,8 @@ class StateVector:
         if arr.shape != (n,):
             raise ValueError(f"amplitude length {arr.shape[0]} does not match layout dimension {n}")
         norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > self.atol:
-            raise ValueError(f"unnormalized input state: squared norm {norm_sq!r} differs from 1 by more than {self.atol}")
+        if abs(norm_sq - 1.0) > DEFAULT_ATOL:
+            raise ValueError(f"unnormalized input state: squared norm {norm_sq!r} differs from 1 by more than {DEFAULT_ATOL}")
         arr.setflags(write=False)
 
     def tensor_view(self) -> np.ndarray:
@@ -126,7 +125,6 @@ class DensityMatrix:
 
     layout: SpaceLayout
     matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.matrix, dtype=np.complex128)
@@ -134,13 +132,13 @@ class DensityMatrix:
         n = self.layout.total_dimension
         if arr.shape != (n, n):
             raise ValueError(f"matrix shape {arr.shape} does not match layout dimension {n}")
-        if not np.allclose(arr, arr.conj().T, atol=self.atol, rtol=0.0):
+        if not np.allclose(arr, arr.conj().T, atol=DEFAULT_ATOL, rtol=0.0):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = float(np.trace(arr).real)
-        if abs(tr - 1.0) > self.atol:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {self.atol}")
+        if abs(tr - 1.0) > DEFAULT_ATOL:
+            raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {DEFAULT_ATOL}")
         eigs = np.linalg.eigvalsh(arr)
-        if float(eigs.min()) < -10.0 * self.atol:
+        if float(eigs.min()) < -10.0 * DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {float(eigs.min())!r}")
         arr.setflags(write=False)
 
@@ -151,7 +149,6 @@ class Unitary:
 
     layout: SpaceLayout
     matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.matrix, dtype=np.complex128)
@@ -160,7 +157,7 @@ class Unitary:
         if arr.shape != (n, n):
             raise ValueError(f"matrix shape {arr.shape} does not match layout dimension {n}")
         dev = float(np.max(np.abs(arr.conj().T @ arr - np.eye(n))))
-        if dev > self.atol:
+        if dev > DEFAULT_ATOL:
             raise ValueError(f"operator is not unitary: max |U†U - I| = {dev!r}")
         arr.setflags(write=False)
 
@@ -176,7 +173,6 @@ class BasisSpec:
     targets: tuple[tuple[str, int], ...]
     vectors: np.ndarray
     labels: tuple[Label, ...]
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.vectors, dtype=np.complex128)
@@ -192,7 +188,7 @@ class BasisSpec:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be pairwise distinct")
         gram = arr.conj() @ arr.T
-        if float(np.max(np.abs(gram - np.eye(arr.shape[0])))) > self.atol:
+        if float(np.max(np.abs(gram - np.eye(arr.shape[0])))) > DEFAULT_ATOL:
             raise ValueError("basis vectors are not orthonormal within tolerance")
         arr.setflags(write=False)
 
@@ -382,49 +378,29 @@ def schmidt(s: StateVector, left: Sequence[str], right: Sequence[str]) -> Schmid
 # pre-measurement (record-writing) unitaries
 
 
-def build_premeasurement(
-    b: BasisSpec,
-    record: tuple[str, int],
-    init_label: Label,
-    pointer_basis: BasisSpec | None = None,
-) -> Unitary:
+def build_premeasurement(b: BasisSpec, record: tuple[str, int], init_label: int) -> Unitary:
     """Unitary that copies the measured basis index onto a fresh record.
 
     Acting on (targets of ``b``) x record, the operator maps the j-th basis
     vector paired with the record's init state to the same basis vector
-    paired with the j-th record pointer state.  Pointer states default to
-    the record's computational basis; ``init_label`` names the pointer
-    state the record starts in.  Completion to a full unitary cyclically
-    shifts the pointer index, so with computational pointers and init 0 the
-    record index k maps to (k + j) mod d.
+    paired with the j-th record pointer state.  Pointer states are the
+    record's computational basis; ``init_label`` is the index of the
+    pointer state the record starts in.  Completion to a full unitary
+    cyclically shifts the pointer index, so with init 0 the record index
+    k maps to (k + j) mod d.
     """
     record_id, d = record
     n = len(b.labels)
     if d < n:
         raise ValueError(f"record too small: dimension {d} cannot hold {n} outcomes")
-    if pointer_basis is None:
-        rows = np.eye(d, dtype=np.complex128)
-        pointer_labels: tuple[Label, ...] = tuple(range(d))
-    else:
-        rows = np.asarray(pointer_basis.vectors, dtype=np.complex128)
-        pointer_labels = pointer_basis.labels
-        if rows.shape[1] != d:
-            raise ValueError("pointer basis does not live on the record space")
-        if len(pointer_labels) < n:
-            raise ValueError("pointer basis must provide one state per outcome")
-        rows = np.vstack([rows, _orthonormal_completion(rows, d)])
+    pointer_labels = tuple(range(d))
     if init_label not in pointer_labels:
         raise ValueError(f"init label {init_label!r} is not a pointer state label")
-    k0 = list(pointer_labels).index(init_label)
+    k0 = pointer_labels.index(init_label)
     u = np.zeros((b.dim * d, b.dim * d), dtype=np.complex128)
     for j in range(b.dim):
-        if j < n:
-            shift = (j - k0) % d
-        else:
-            shift = 0
-        w = np.zeros((d, d), dtype=np.complex128)
-        for k in range(d):
-            w += np.outer(rows[(k + shift) % d], rows[k].conj())
+        shift = (j - k0) % d if j < n else 0
+        w = np.roll(np.eye(d, dtype=np.complex128), shift, axis=0)  # pointer k -> k + shift
         bj = b.vectors[j]
         u += np.kron(np.outer(bj, bj.conj()), w)
     layout = SpaceLayout(tuple(b.targets) + ((record_id, d),))
@@ -491,37 +467,34 @@ def product_basis(bases: Sequence[BasisSpec]) -> BasisSpec:
     return BasisSpec(targets=targets, vectors=np.array(vectors), labels=labels)
 
 
-def i_superposed(b: BasisSpec, labels: tuple[Label, Label] = (1, -1)) -> BasisSpec:
-    """Two-outcome basis (v0 +- i v1)/sqrt(2) built from an ordered two-vector basis."""
+def i_superposed(b: BasisSpec) -> BasisSpec:
+    """Two-outcome basis (v0 +- i v1)/sqrt(2), labelled 1 and -1, built from an
+    ordered two-vector basis."""
     if len(b.labels) != 2:
         raise ValueError("i_superposed needs a two-outcome basis")
     v0, v1 = b.vectors[0], b.vectors[1]
     plus = (v0 + 1j * v1) / np.sqrt(2.0)
     minus = (v0 - 1j * v1) / np.sqrt(2.0)
-    return BasisSpec(targets=b.targets, vectors=np.array([plus, minus]), labels=labels)
+    return BasisSpec(targets=b.targets, vectors=np.array([plus, minus]), labels=(1, -1))
 
 
-def qubit_ladder_basis(target: tuple[str, int], depth: int, labels: tuple[Label, Label] = (1, -1)) -> BasisSpec:
-    """Single-qubit basis family: depth 0 is computational, each further depth
-    superposes the previous two vectors with +-i phases."""
+def qubit_ladder_basis(target: tuple[str, int], depth: int) -> BasisSpec:
+    """Single-qubit basis family, labelled 1 and -1: depth 0 is computational,
+    each further depth superposes the previous two vectors with +-i phases."""
     if target[1] != 2:
         raise ValueError("qubit_ladder_basis is defined for dimension-2 targets")
-    b = computational_basis(target, labels=labels)
+    b = computational_basis(target, labels=(1, -1))
     for _ in range(depth):
-        b = i_superposed(b, labels=labels)
+        b = i_superposed(b)
     return b
 
 
-def lifted_basis(
-    outer: BasisSpec,
-    inner: BasisSpec,
-    record: tuple[str, int],
-    pointer_rows: np.ndarray | None = None,
-) -> BasisSpec:
+def lifted_basis(outer: BasisSpec, inner: BasisSpec, record: tuple[str, int]) -> BasisSpec:
     """Image of ``outer`` on a (system, record) pair after a record-writing
     interaction in ``inner``.
 
-    The interaction encodes the l-th inner vector as (inner_l, pointer_l);
+    The interaction encodes the l-th inner vector as (inner_l, pointer_l),
+    pointer_l being the record's l-th computational state;
     the lifted basis re-expresses each outer vector in inner coordinates and
     carries the coordinates onto those encoded product states.  The two
     image vectors are completed to a full basis of the pair; completion
@@ -531,11 +504,7 @@ def lifted_basis(
         raise ValueError("outer and inner bases must address the same target")
     n = len(inner.labels)
     record_id, d = record
-    if pointer_rows is None:
-        pointer_rows = np.eye(d, dtype=np.complex128)[:n]
-    pointer_rows = np.asarray(pointer_rows, dtype=np.complex128)
-    if pointer_rows.shape != (n, d):
-        raise ValueError(f"pointer rows must have shape ({n}, {d})")
+    pointer_rows = np.eye(d, dtype=np.complex128)[:n]
     coords = inner.vectors.conj() @ outer.vectors.T  # coords[l, k] = <inner_l|outer_k>
     dim_pair = inner.dim * d
     vecs = []

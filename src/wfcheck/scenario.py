@@ -48,8 +48,6 @@ _COMPLEX_RE = re.compile(rf"^(?P<re>{_NUM})?(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(rf"^{_NUM}$")
 
-LITERAL_NORM_TOL = 1e-8
-
 KEYWORDS = {
     "scenario", "system", "agent", "observer", "prepare", "basis",
     "interact", "measure", "read", "partition",
@@ -484,7 +482,7 @@ def _parse_basis_decl(cur: _Cursor, st: _ParseState) -> None:
         for j, vj in enumerate(vectors):
             ip = sum(a.conjugate() * b for a, b in zip(vi, vj))
             want = 1.0 if i == j else 0.0
-            if abs(ip - want) > LITERAL_NORM_TOL:
+            if abs(ip - want) > qcore.DEFAULT_ATOL:
                 raise cur.err(f"basis {name!r} vectors are not orthonormal (rows {i} and {j})")
     st.bases.append(BasisDecl(name, dim, tuple(labels), tuple(vectors)))
 
@@ -534,13 +532,13 @@ def _parse_state_expr(cur: _Cursor) -> StateExpr:
         c1 = cur.take_float("amplitude")
         cur.take(")")
         norm = c0 * c0 + c1 * c1
-        if abs(norm - 1.0) > LITERAL_NORM_TOL:
+        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
             raise cur.err(f"unnormalized state literal: schmidt amplitudes square-sum to {norm!r}")
         return SchmidtState(c0, c1)
     if tok == "state":
         amps = _parse_vector(cur)
         norm = sum(abs(a) ** 2 for a in amps)
-        if abs(norm - 1.0) > LITERAL_NORM_TOL:
+        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
             raise cur.err(f"unnormalized state literal: squared norm is {norm!r}")
         return RawState(amps)
     cur.pos -= 1

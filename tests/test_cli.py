@@ -359,6 +359,19 @@ class TestCheckCommand:
             assert code == 1, args
             assert err, args
 
+    @pytest.mark.parametrize("args,fragment", [
+        # off by 5e-9: inside the old 1e-8 check, outside the kernel's 1e-10
+        (("check", "epr", "--c", "0.3,0.700000005"), "check epr: coefficients are not normalized"),
+        (("check", "cpl", "--c", "0.3,0.700000005"), "check cpl: coefficients are not normalized"),
+        # a probability of 1e-15 lies below the engine's PROB_EPS
+        (("check", "epr", "--c", "1e-15,0.999999999999999"), "check epr: degenerate preparation"),
+    ])
+    def test_bad_parameters_message(self, capsys, args, fragment):
+        code, out, err = invoke(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert fragment in err
+
     def test_text_and_json_agree_numerically(self, capsys):
         args = ("check", "epr", "--c", "0.3,0.7")
         _, text_out, _ = invoke(capsys, *args)

@@ -552,6 +552,39 @@ class TestChain:
         assert len(calls) <= 2 * (2 ** 4 - 1)
 
 
+def _marginal(joint, keys, result, conditioning):
+    total, dist = 0.0, {}
+    for point, p in joint.items():
+        row = dict(zip(keys, point))
+        if all(row[k] == v for k, v in conditioning.items()):
+            total += p
+            dist[row[result]] = dist.get(row[result], 0.0) + p
+    return {k: v / total for k, v in dist.items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sc.parse(GHZ_MIXED), lambda: sc.parse(READBACK), lambda: _chain(TestChain.PROBS),
+], ids=["ghz_mixed", "readback", "chain4"])
+@pytest.mark.parametrize("kind", it.RULE_KINDS)
+def test_predicted_distribution_is_a_marginal_of_exact_joint(make, kind):
+    # every leaf is one table row, so the two folds add the same numbers in
+    # the same order: equal bit for bit, key order included
+    s = make()
+    rules = it.RuleSet(kind)
+    keys = it.outcome_keys(s)
+    joint = it.exact_joint(s, rules)
+    conditionings = [{}]
+    for i, key in enumerate(keys):
+        if "." in key:  # a record key
+            conditionings += [{key: v} for v in dict.fromkeys(point[i] for point in joint)]
+    for ev in s.timeline:
+        if isinstance(ev, (sc.Measure, sc.ReadRecord)):
+            for conditioning in conditionings:
+                got = it.predicted_distribution(s, rules, ev.observer, ev.result, conditioning)
+                want = _marginal(joint, keys, ev.result, conditioning)
+                assert list(got.items()) == list(want.items())
+
+
 @pytest.mark.parametrize("kind", it.RULE_KINDS)
 def test_scenario_without_subsystems(kind):
     # no factors at all: the state is the one-dimensional vector [1]

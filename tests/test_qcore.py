@@ -346,17 +346,6 @@ def test_premeasurement_computational_copy():
     assert np.allclose(u.matrix, expect, atol=1e-12)
 
 
-def test_premeasurement_mirrored_pointer_copy_map():
-    b3 = qc.qubit_ladder_basis(("S", 2), 1)
-    p3 = qc.qubit_ladder_basis(("R", 2), 1)
-    u = qc.build_premeasurement(b3, ("R", 2), init_label=1, pointer_basis=p3)
-    assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4))) < 1e-12
-    for j in range(2):
-        inp = np.kron(b3.vectors[j], p3.vectors[0])
-        out = u.matrix @ inp
-        assert np.allclose(out, np.kron(b3.vectors[j], p3.vectors[j]), atol=1e-12)
-
-
 def test_premeasurement_qudit_record():
     d = 4
     b = qc.computational_basis(("S", d))
@@ -379,17 +368,18 @@ def test_premeasurement_record_too_small():
 
 def test_ghz_premeasurement_matches_direct_construction():
     # oracle: expand the GHZ amplitudes in the i-superposed basis by hand and
-    # build sum over branches of amp * (basis vector) x (pointer vector)
+    # build sum over branches of amp * (basis vector) x (pointer vector);
+    # pointers are the records' computational states, each record starts in 0
     sys = [("S1", 2), ("S2", 2), ("S3", 2)]
     rec = [("A1", 2), ("A2", 2), ("A3", 2)]
     b3 = [qc.qubit_ladder_basis(t, 1) for t in sys]
-    p3 = [qc.qubit_ladder_basis(t, 1) for t in rec]
+    pointer = np.eye(2, dtype=complex)
 
     ghz = qc.StateVector(qc.SpaceLayout(tuple(sys)), qc.ghz_amplitudes(3))
-    inits = [qc.StateVector(qc.SpaceLayout((r,)), p3[i].vectors[0]) for i, r in enumerate(rec)]
+    inits = [qc.StateVector(qc.SpaceLayout((r,)), pointer[0]) for r in rec]
     psi = qc.tensor(ghz, *inits)
     for m in range(3):
-        u = qc.build_premeasurement(b3[m], rec[m], init_label=1, pointer_basis=p3[m])
+        u = qc.build_premeasurement(b3[m], rec[m], init_label=0)
         psi = qc.apply_local(psi, u)
 
     direct = np.zeros(64, dtype=complex)
@@ -402,7 +392,7 @@ def test_ghz_premeasurement_matches_direct_construction():
                 )
                 branch = np.kron(
                     np.kron(np.kron(b3[0].vectors[i0], b3[1].vectors[i1]), b3[2].vectors[i2]),
-                    np.kron(np.kron(p3[0].vectors[i0], p3[1].vectors[i1]), p3[2].vectors[i2]),
+                    np.kron(np.kron(pointer[i0], pointer[i1]), pointer[i2]),
                 )
                 direct += amp * branch
     # direct is ordered (S1,S2,S3,A1,A2,A3) like psi's layout

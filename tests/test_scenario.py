@@ -174,6 +174,9 @@ def test_comments_and_blank_lines_ignored():
         ("scenario x\nsystem S 2\nprepare schmidt(0.3, 0.4) on S\n", "unnormalized state literal", 3),
         ("scenario x\nbasis basis3 on 2 labels 0, 1 vectors [1+0i, 0+0i] ; [0+0i, 1+0i]\n", "built-in", 2),
         ("scenario x\nsystem S 2\nprepare state [1+0i, 0*0i] on S\n", "complex literal", 3),
+        # literals the kernel would reject at its 1e-10 tolerance
+        ("scenario x\nsystem S 2\nprepare state [0.6+0i, 0.800000003+0i] on S\n", "unnormalized state literal", 3),
+        ("scenario x\nbasis b on 2 labels 0, 1 vectors [1+0i, 3e-9+0i] ; [0+0i, 1+0i]\n", "not orthonormal", 2),
     ],
 )
 def test_parse_errors(text, fragment, line):
