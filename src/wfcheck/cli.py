@@ -138,9 +138,9 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
     rules = it.RuleSet(args.rules)
     try:
         # _read_scenario validated it; one compiled plan serves both
-        comp = it._compile(scenario)
-        result = it._run(comp, rules, args.seed)
-        joint = it._exact_joint(comp, rules)
+        comp = it._compile(scenario, rules)
+        result = it._run(comp, args.seed)
+        joint = it._exact_joint(comp)
     except (ValueError, it.TooManyBranchesError) as exc:
         raise _Failure(EXIT_USAGE, f"{args.file}: {exc}") from exc
     keys = it.outcome_keys(scenario)
@@ -254,18 +254,14 @@ def _table_payload(keys: tuple[str, ...], table: dict, value_name: str,
 
 
 def _perspective_payload(ps: it.PerspectiveState) -> dict[str, Any]:
+    # a run's perspectives are those of one sampled branch: always vectors
     state = ps.state
-    out: dict[str, Any] = {
+    return {
         "knowledge": {k: _plain(v) for k, v in sorted(ps.knowledge)},
         "subsystems": [[name, dim] for name, dim in state.layout.subsystems],
+        "kind": "vector",
+        "amplitudes": [[z.real, z.imag] for z in state.amplitudes],
     }
-    if isinstance(state, qcore.StateVector):
-        out["kind"] = "vector"
-        out["amplitudes"] = [[z.real, z.imag] for z in state.amplitudes]
-    else:
-        out["kind"] = "mixture"
-        out["matrix"] = [[[z.real, z.imag] for z in row] for row in state.matrix]
-    return out
 
 
 def _report_payload(report: checks.ContradictionReport, parameters: dict) -> dict[str, Any]:
@@ -361,15 +357,9 @@ def _run_text(payload: dict[str, Any]) -> list[str]:
     for name, ps in payload["perspectives"].items():
         known = " ".join(f"{k}={_fmt_label(v)}" for k, v in ps["knowledge"].items())
         lines.append(f"perspective {name} {ps['kind']}" + (f" knows {known}" if known else ""))
-        if ps["kind"] == "vector":
-            for i, (re, im) in enumerate(ps["amplitudes"]):
-                if re != 0.0 or im != 0.0:
-                    lines.append(f"  amplitude {i} {_num(re)} {_num(im)}")
-        else:
-            for i, row in enumerate(ps["matrix"]):
-                for j, (re, im) in enumerate(row):
-                    if re != 0.0 or im != 0.0:
-                        lines.append(f"  density {i} {j} {_num(re)} {_num(im)}")
+        for i, (re, im) in enumerate(ps["amplitudes"]):
+            if re != 0.0 or im != 0.0:
+                lines.append(f"  amplitude {i} {_num(re)} {_num(im)}")
     return lines
 
 

@@ -15,23 +15,30 @@ The engine runs a scenario timeline three ways:
   and a pin onto a zero-probability outcome is reported as an anomaly
   rather than raised.
 
-Each public call validates its scenario once and then compiles it.
-Compilation holds everything the timeline fixes: each event group's
-events, interactions and the unitaries that act before any outcome is
-drawn (concurrent events are checked to commute there, once), the
-interaction that writes each record, and each interaction's conditioning
-pool, resolved from the ``partition`` events before it (the default pool
-is the agent alone).  A run is then a tree of branches, each carrying
-only what one history fixes: the global state (projected only by
-collapsing events), one chronological sequence of outcomes (each agent's
-record fact under its record key, each outside result under its result
-name), the pins applied, and a weight equal to the joint probability of
-that history.
-Every group expands through one routine, a single event being a group
-of one.
+Each public call validates its scenario once and then compiles it under
+one rule set.  Compilation holds everything the timeline and the rules
+fix: the interaction that writes each record, each interaction's
+conditioning pool, resolved from the ``partition`` events before it (the
+default pool is the agent alone), and for each event group the unitaries
+that act before any outcome is drawn (concurrent events are checked to
+commute there, once), the relative facts it draws, and its outcome steps
+in event order.  The rules decide those once per event: under
+``orthodox`` an interaction is an outcome step that projects onto its
+record's pointer, under ``rqm5``/``cpl`` it draws a relative fact, and
+only under ``cpl`` does a default readout step carry a pin.  A run is
+then a tree of branches, each carrying only what one history fixes: the
+global state (projected only by collapsing steps), one chronological
+sequence of outcomes (each agent's record fact under its record key,
+each outside result under its result name), the pins applied, and a
+weight equal to the joint probability of that history.  Every group
+expands through one routine and one loop of outcome steps, a single
+event being a group of one.
 
-The global state is kept factored: a tuple of ``StateVector`` factors
-over disjoint sets of subsystems, one per subsystem at the start.  A
+The global state is kept factored: ``StateVector`` factors over
+disjoint sets of subsystems, one per subsystem at the start, held in a
+tuple with one entry per layout position (the factor holding that
+subsystem), so finding and replacing the factors an event touches costs
+the size of its support, not the number of factors.  A
 preparation replaces the factors of its fresh targets; an interaction,
 measurement, readout or conditioning merges only the factors its
 support touches and runs the kernel on that merge.  A projection onto a
@@ -62,9 +69,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -111,14 +118,6 @@ class RuleSet:
     @classmethod
     def rqm5_cpl(cls, fact_holder: str = "agent") -> "RuleSet":
         return cls("cpl", fact_holder)
-
-    @property
-    def collapses_on_interact(self) -> bool:
-        return self.kind == "orthodox"
-
-    @property
-    def pins_reads(self) -> bool:
-        return self.kind == "cpl"
 
 
 @dataclass(frozen=True)
@@ -194,13 +193,14 @@ class _CInteract:
 
 @dataclass(frozen=True)
 class _CMeasure:
-    """An outside measurement or record readout."""
+    """An outcome step: an outside measurement, a record readout or, under
+    ``orthodox``, an interaction's collapse onto its record's pointer."""
 
     index: int
     observer: str
     spec: qcore.BasisSpec
-    result: str
-    pin: str | None  # record a cpl link pins: set for default pointer-basis readouts only
+    result: str  # the result name; the record key for an interaction's collapse
+    pin: str | None  # record a cpl link pins: set under cpl for default pointer-basis readouts only
 
 
 _CEvent = Union[_CPrepare, _CInteract, _CMeasure]
@@ -208,16 +208,17 @@ _CEvent = Union[_CPrepare, _CInteract, _CMeasure]
 
 @dataclass(frozen=True)
 class _Group:
-    """One event group as the branch engine expands it."""
+    """One event group as the branch engine expands it under the plan's rules."""
 
-    events: tuple[_CEvent, ...]
     dynamics: tuple[Union[_CPrepare, _CInteract], ...]  # all act before any outcome is drawn
-    interacts: tuple[_CInteract, ...]
+    draws: tuple[_CInteract, ...]  # relative facts, rqm5/cpl only
+    steps: tuple[_CMeasure, ...]  # outcome steps in event order
 
 
 @dataclass(frozen=True)
 class _Compiled:
     scenario: sc.Scenario
+    rules: RuleSet
     layout: qcore.SpaceLayout
     order: dict[str, int]  # subsystem id -> its position in the layout
     initial: tuple[qcore.StateVector, ...]  # one factor per subsystem
@@ -265,8 +266,8 @@ def _require_valid(s: sc.Scenario) -> None:
         raise ValueError(f"scenario {s.name!r} does not validate: {msgs}")
 
 
-def _compile(s: sc.Scenario) -> _Compiled:
-    """Lay out a validated scenario: everything the timeline fixes."""
+def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
+    """Lay out a validated scenario: everything the timeline and the rules fix."""
     layout = sc.layout_of(s)
     dims = dict(layout.subsystems)
     order = {sid: i for i, sid in enumerate(layout.ids)}
@@ -302,21 +303,28 @@ def _compile(s: sc.Scenario) -> _Compiled:
             cev = _CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result, None)
         else:
             key = sc.record_key(ev.agent, ev.record)
-            pin = key if ev.basis is None else None
-            spec = writers[key].readout if pin else _basis_spec(s, ev.basis, ((key, dims[key]),))
+            spec = writers[key].readout if ev.basis is None else _basis_spec(s, ev.basis, ((key, dims[key]),))
+            pin = key if ev.basis is None and rules.kind == "cpl" else None
             cev = _CMeasure(i, ev.observer, spec, ev.result, pin)
         events.append(cev)
         if getattr(ev, "concurrent", False):
             grouped[-1] += (cev,)
         else:
             grouped.append((cev,))
+    collapse = rules.kind == "orthodox"
     groups: list[_Group] = []
     for evs in grouped:
         if len(evs) > 1:
             _check_commuting(layout, evs)
         dynamics = tuple(ev for ev in evs if isinstance(ev, (_CPrepare, _CInteract)))
-        interacts = tuple(ev for ev in evs if isinstance(ev, _CInteract))
-        groups.append(_Group(evs, dynamics, interacts))
+        draws = () if collapse else tuple(ev for ev in evs if isinstance(ev, _CInteract))
+        # under orthodox an interaction collapses onto its record's pointer,
+        # its outcome keyed by the record
+        steps = tuple(
+            _CMeasure(ev.index, ev.agent, ev.readout, ev.record, None) if isinstance(ev, _CInteract) else ev
+            for ev in evs if isinstance(ev, _CMeasure) or (collapse and isinstance(ev, _CInteract))
+        )
+        groups.append(_Group(dynamics, draws, steps))
 
     # a fact can condition its holder's perspective only while the record
     # subsystem stays untouched by stable events after its write
@@ -335,7 +343,7 @@ def _compile(s: sc.Scenario) -> _Compiled:
             support = set(_support(later))
             if support & targets and support - targets:
                 rejoined.add(ev.index)
-    return _Compiled(s, layout, order, initial, tuple(events), tuple(groups), writers,
+    return _Compiled(s, rules, layout, order, initial, tuple(events), tuple(groups), writers,
                      frozenset(intact), frozenset(rejoined))
 
 
@@ -343,13 +351,14 @@ def _compile(s: sc.Scenario) -> _Compiled:
 # branch engine
 
 
-# factors over disjoint subsystems, each in layout order, sorted by their
-# first subsystem; branches holding the same factor objects share a state node
+# one entry per layout position: the factor holding that subsystem.  Factors
+# are over disjoint subsystems, each in layout order, so a factor spanning k
+# subsystems fills k entries; branches holding the same factor objects share
+# a state node
 _State = tuple[qcore.StateVector, ...]
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     state: _State
     weight: float
     # (outcome key, label) in the order drawn: record keys for facts, result
@@ -359,8 +368,10 @@ class _Branch:
     pins: tuple[PinRecord, ...] = ()
 
 
-def _product(factors: _State, order: dict[str, int]) -> qcore.StateVector:
-    """Tensor product of factors, its subsystems in layout order."""
+def _product(state: _State, order: dict[str, int]) -> qcore.StateVector:
+    """Tensor product of the distinct factors of ``state``, its subsystems in
+    layout order; the factors are taken in the order of their first subsystem."""
+    factors = tuple(dict.fromkeys(state))
     if not factors:  # a scenario without subsystems
         return qcore.StateVector(qcore.SpaceLayout(()), np.ones(1, dtype=complex))
     if len(factors) == 1:
@@ -372,79 +383,64 @@ def _product(factors: _State, order: dict[str, int]) -> qcore.StateVector:
     return qcore.StateVector(qcore.SpaceLayout(tuple(subsystems[a] for a in perm)), amps)
 
 
-def _shared(memo: dict, nodes: _State, key: tuple, work):
-    """``work()`` once per group for the factors ``nodes`` and ``key``.  The
-    entry keeps ``nodes`` alive, so their ids cannot be reused while the
-    group runs; a factor a group leaves alone is one object in every branch."""
-    k = tuple(map(id, nodes)) + key
-    if k not in memo:
-        memo[k] = (nodes, work())
-    return memo[k][1]
+def _shared(memo: dict, nodes: _State, key: tuple, work, *args):
+    """``work(*args)`` once per group for the factors ``nodes`` and ``key``.
+    Factors compare by identity, and a factor a group leaves alone is one
+    object in every branch."""
+    k = (nodes, key)
+    out = memo.get(k, memo)
+    if out is memo:
+        out = memo[k] = work(*args)
+    return out
 
 
-def _touch(memo: dict, comp: _Compiled, state: _State, ids) -> tuple[_State, qcore.StateVector]:
-    """The factors ``ids`` leaves alone, and the merge of those it touches."""
-    ids = set(ids)
-    rest = tuple(f for f in state if ids.isdisjoint(f.layout.ids))
-    touched = tuple(f for f in state if not ids.isdisjoint(f.layout.ids))
+def _touch(memo: dict, comp: _Compiled, state: _State, ids) -> qcore.StateVector:
+    """The merge of the factors holding the subsystems ``ids``."""
+    touched = tuple(dict.fromkeys([state[comp.order[i]] for i in ids]))
     if len(touched) == 1:
-        return rest, touched[0]
-    return rest, _shared(memo, touched, ("merge",), lambda: _product(touched, comp.order))
+        return touched[0]
+    touched = tuple(sorted(touched, key=lambda f: comp.order[f.layout.ids[0]]))
+    return _shared(memo, touched, ("merge",), _product, touched, comp.order)
 
 
-def _with(comp: _Compiled, rest: _State, parts: _State) -> _State:
-    return tuple(sorted(rest + parts, key=lambda f: comp.order[f.layout.ids[0]]))
+def _with(comp: _Compiled, state: _State, parts: _State) -> _State:
+    """``state`` with ``parts`` in place of the factors on their subsystems."""
+    slots = list(state)
+    for part in parts:
+        for sid in part.layout.ids:
+            slots[comp.order[sid]] = part
+    return tuple(slots)
 
 
 def _born(memo: dict, factor: qcore.StateVector, spec: qcore.BasisSpec) -> dict[Label, float]:
-    return _shared(memo, (factor,), ("born", id(spec)), lambda: qcore.born_distribution(factor, spec))
+    return _shared(memo, (factor,), ("born", id(spec)), qcore.born_distribution, factor, spec)
 
 
 def _collapsed(
     memo: dict, comp: _Compiled, factor: qcore.StateVector, spec: qcore.BasisSpec, label: Label, split: bool,
 ) -> _State:
-    """The factor projected on one outcome, as factors.
+    """The factor projected on one outcome, as factors."""
+    return _shared(memo, (factor,), ("project", id(spec), label, split), _project, comp, factor, spec, label, split)
 
-    ``project`` builds (basis vector) x (residual), so when the basis vector
+
+def _project(
+    comp: _Compiled, factor: qcore.StateVector, spec: qcore.BasisSpec, label: Label, split: bool,
+) -> _State:
+    """``project`` builds (basis vector) x (residual), so when the basis vector
     is a pointer state (one nonzero entry) the measured targets split off
-    exactly: the residual is a row of the projected tensor.
-    """
-    def work():
-        projected = qcore.project(factor, spec, label)
-        vec = spec.vectors[spec.labels.index(label)]
-        (nonzero,) = np.nonzero(vec)
-        if not split or len(nonzero) != 1 or len(spec.targets) == len(factor.layout.subsystems):
-            return (projected,)
-        k = nonzero[0]
-        positions = factor.layout.positions(spec.target_ids)
-        rows = np.moveaxis(projected.tensor_view(), positions, range(len(positions))).reshape(spec.dim, -1)
-        rest = qcore.SpaceLayout(tuple(s for s in factor.layout.subsystems if s[0] not in spec.target_ids))
-        measured = qcore.permute(qcore.StateVector(qcore.SpaceLayout(spec.targets), vec),
-                                 sorted(spec.target_ids, key=comp.order.get))
-        return (measured, qcore.StateVector(rest, rows[k] / vec[k]))
-
-    return _shared(memo, (factor,), ("project", id(spec), label, split), work)
-
-
-def _condition_on_facts(
-    state: qcore.StateVector,
-    facts: tuple[tuple[str, Label], ...],
-    comp: _Compiled,
-) -> qcore.StateVector:
-    for key, value in facts:
-        try:
-            state = qcore.project(state, comp.writers[key].readout, value)
-        except qcore.ZeroProbabilityError as e:
-            raise qcore.ZeroProbabilityError(
-                f"conditioning on fact {key!r}={value!r} has zero probability; "
-                "the record, or a record correlated with it, was disturbed after the fact was produced"
-            ) from e
-    return state
-
-
-def _distribution(state: qcore.StateVector, spec: qcore.BasisSpec) -> list[tuple[Label, float]]:
-    dist = qcore.born_distribution(state, spec)
-    return [(label, p) for label, p in dist.items() if p > qcore.PROB_EPS]
+    exactly: the residual is a row of the projected tensor."""
+    projected = qcore.project(factor, spec, label)
+    vec = spec.vectors[spec.labels.index(label)]
+    (nonzero,) = np.nonzero(vec)
+    if not split or len(nonzero) != 1 or len(spec.targets) == len(factor.layout.subsystems):
+        return (projected,)
+    k = nonzero[0]
+    positions = factor.layout.positions(spec.target_ids)
+    rows = np.moveaxis(projected.tensor_view(), positions, range(len(positions))).reshape(spec.dim, -1)
+    rest = qcore.SpaceLayout(tuple(s for s in factor.layout.subsystems if s[0] not in spec.target_ids))
+    measured = qcore.permute(qcore.StateVector(qcore.SpaceLayout(spec.targets), vec),
+                             sorted(spec.target_ids, key=comp.order.get))
+    return (measured, qcore.StateVector(rest, rows[k] / vec[k]))
 
 
 def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerEntry, ...]:
@@ -456,77 +452,71 @@ def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerE
 
 def _evolve(memo: dict, comp: _Compiled, state: _State, group: _Group) -> _State:
     """The group's preparations and unitaries, in event order."""
-    def work():
-        out = state
-        for ev in group.dynamics:
-            if isinstance(ev, _CPrepare):
-                # the targets are fresh, each still its own initial factor
-                rest = tuple(f for f in out if f.layout.ids[0] not in ev.state.layout.ids)
-                out = _with(comp, rest, (ev.state,))
-            else:
-                rest, factor = _touch(memo, comp, out, ev.unitary.layout.ids)
-                evolved = _shared(memo, (factor,), ("apply", ev.index),
-                                  lambda: qcore.apply_local(factor, ev.unitary))
-                out = _with(comp, rest, (evolved,))
-        return out
-
-    return _shared(memo, state, ("evolve",), work)
+    for ev in group.dynamics:
+        if isinstance(ev, _CPrepare):
+            # the targets are fresh, each still its own initial factor
+            state = _with(comp, state, (ev.state,))
+        else:
+            factor = _touch(memo, comp, state, ev.unitary.layout.ids)
+            evolved = _shared(memo, (factor,), ("apply", ev.index), qcore.apply_local, factor, ev.unitary)
+            state = _with(comp, state, (evolved,))
+    return state
 
 
-def _split(
-    memo: dict, comp: _Compiled, state: _State, ev: _CEvent, spec: qcore.BasisSpec,
-) -> list[tuple[Label, float, _State]]:
-    """(label, p, projected state) for each outcome of a collapsing event."""
-    def work():
-        rest, factor = _touch(memo, comp, state, spec.target_ids)
-        split = ev.index not in comp.rejoined
-        return [
-            (label, p, _with(comp, rest, _collapsed(memo, comp, factor, spec, label, split)))
-            for label, p in _born(memo, factor, spec).items() if p > qcore.PROB_EPS
-        ]
+def _split(memo: dict, comp: _Compiled, state: _State, step: _CMeasure) -> list[tuple[Label, float, _State]]:
+    """(label, p, projected state) for each outcome of a collapsing step."""
+    factor = _touch(memo, comp, state, step.spec.target_ids)
+    outcomes = _shared(memo, (factor,), ("outcomes", step.index), _outcomes, memo, comp, factor, step)
+    return [(label, p, _with(comp, state, parts)) for label, p, parts in outcomes]
 
-    return _shared(memo, state, ("split", ev.index), work)
+
+def _outcomes(memo: dict, comp: _Compiled, factor: qcore.StateVector, step: _CMeasure) -> list[tuple[Label, float, _State]]:
+    """(label, p, projected factors) for each reachable outcome of a collapsing step on ``factor``."""
+    split = step.index not in comp.rejoined
+    return [
+        (label, p, _collapsed(memo, comp, factor, step.spec, label, split))
+        for label, p in _born(memo, factor, step.spec).items() if p > qcore.PROB_EPS
+    ]
 
 
 def _conditioned(memo: dict, comp: _Compiled, state: _State, ev: _CInteract, facts) -> list[tuple[Label, float]]:
     """An agent outcome's distribution given its pool's earlier facts."""
-    def work():
-        ids = (ev.record,) + tuple(key for key, _ in facts)
-        _, factor = _touch(memo, comp, state, ids)
-        return _shared(memo, (factor,), ("condition", ev.index, facts), lambda: _distribution(
-            _condition_on_facts(factor, facts, comp), ev.readout))
-
-    return _shared(memo, state, ("conditioned", ev.index, facts), work)
+    factor = _touch(memo, comp, state, (ev.record,) + tuple(key for key, _ in facts))
+    return _shared(memo, (factor,), ("condition", ev.index, facts), _fact_distribution, comp, factor, ev, facts)
 
 
-def _stable_children(memo: dict, comp: _Compiled, ev: _CMeasure, branch: _Branch) -> list[_Branch]:
-    return [
-        replace(branch, state=projected, weight=branch.weight * p,
-                outcomes=branch.outcomes + ((ev.result, label),))
-        for label, p, projected in _split(memo, comp, branch.state, ev, ev.spec)
-    ]
+def _fact_distribution(comp: _Compiled, factor: qcore.StateVector, ev: _CInteract, facts) -> list[tuple[Label, float]]:
+    for key, value in facts:
+        try:
+            factor = qcore.project(factor, comp.writers[key].readout, value)
+        except qcore.ZeroProbabilityError as e:
+            raise qcore.ZeroProbabilityError(
+                f"conditioning on fact {key!r}={value!r} has zero probability; "
+                "the record, or a record correlated with it, was disturbed after the fact was produced"
+            ) from e
+    dist = qcore.born_distribution(factor, ev.readout)
+    return [(label, p) for label, p in dist.items() if p > qcore.PROB_EPS]
 
 
 def _pinned_child(memo: dict, comp: _Compiled, ev: _CMeasure, branch: _Branch) -> _Branch:
-    # a pin onto a zero-probability outcome leaves the state unprojected
     value = next(v for k, v in branch.outcomes if k == ev.pin)
+    record, state = _shared(memo, branch.state, ("pin", ev.index, value), _pinned, memo, comp, branch.state, ev, value)
+    return _Branch(state, branch.weight, branch.outcomes + ((ev.result, value),), branch.pins + (record,))
 
-    def pin():
-        rest, factor = _touch(memo, comp, branch.state, ev.spec.target_ids)
-        p = float(_born(memo, factor, ev.spec).get(value, 0.0))
-        anomalous = p <= qcore.PROB_EPS
-        if anomalous:
-            return p, anomalous, branch.state
-        split = ev.index not in comp.rejoined
-        return p, anomalous, _with(comp, rest, _collapsed(memo, comp, factor, ev.spec, value, split))
 
-    p, anomalous, state = _shared(memo, branch.state, ("pin", ev.index, value), pin)
-    return replace(
-        branch,
-        state=state,
-        outcomes=branch.outcomes + ((ev.result, value),),
-        pins=branch.pins + (PinRecord(ev.index, ev.observer, ev.pin, value, p, anomalous),),
-    )
+def _pinned(memo: dict, comp: _Compiled, state: _State, ev: _CMeasure, value: Label) -> tuple[PinRecord, _State]:
+    """The pin record and the pinned state; a pin onto a zero-probability
+    outcome leaves the state unprojected."""
+    factor = _touch(memo, comp, state, ev.spec.target_ids)
+    record, parts = _shared(memo, (factor,), ("pinned", ev.index, value), _pin, memo, comp, factor, ev, value)
+    return record, state if parts is None else _with(comp, state, parts)
+
+
+def _pin(memo: dict, comp: _Compiled, factor: qcore.StateVector, ev: _CMeasure, value: Label):
+    p = float(_born(memo, factor, ev.spec).get(value, 0.0))
+    anomalous = p <= qcore.PROB_EPS
+    parts = None if anomalous else _collapsed(memo, comp, factor, ev.spec, value, ev.index not in comp.rejoined)
+    return PinRecord(ev.index, ev.observer, ev.pin, value, p, anomalous), parts
 
 
 def _support(ev: _CEvent) -> tuple[str, ...]:
@@ -573,59 +563,43 @@ def _check_commuting(layout: qcore.SpaceLayout, evs: tuple[_CEvent, ...]) -> Non
                     )
 
 
-def _expand_group(
-    comp: _Compiled,
-    group: _Group,
-    branch: _Branch,
-    rules: RuleSet,
-    memo: dict,
-) -> list[_Branch]:
+def _expand_group(comp: _Compiled, group: _Group, branch: _Branch, memo: dict) -> list[_Branch]:
     # dynamics first: all unitaries act before any outcome is drawn
     state = branch.state
     if group.dynamics:
-        state = _evolve(memo, comp, state, group)
-    children = [replace(branch, state=state)] if group.dynamics else [branch]
-    if not rules.collapses_on_interact:
-        # simultaneous facts: each conditional sees pre-group facts only
-        for ev in group.interacts:
-            facts = tuple(
-                (k, v) for k, v in branch.outcomes if k in comp.writers and comp.writers[k].agent in ev.pool
-            )
-            dist = _conditioned(memo, comp, state, ev, facts)
-            next_children = []
-            for child in children:
-                for label, p in dist:
-                    next_children.append(replace(
-                        child,
-                        weight=child.weight * p,
-                        outcomes=child.outcomes + ((ev.record, label),),
-                    ))
-            children = next_children
-    for ev in group.events:
-        if isinstance(ev, _CInteract):
-            if rules.collapses_on_interact:
-                children = [
-                    replace(child, state=projected, weight=child.weight * p,
-                            outcomes=child.outcomes + ((ev.record, label),))
-                    for child in children
-                    for label, p, projected in _split(memo, comp, child.state, ev, ev.readout)
-                ]
-        elif isinstance(ev, _CMeasure):
-            if ev.pin is not None and rules.pins_reads:
-                children = [_pinned_child(memo, comp, ev, child) for child in children]
-            else:
-                children = [c for child in children for c in _stable_children(memo, comp, ev, child)]
+        state = _shared(memo, state, ("evolve",), _evolve, memo, comp, state, group)
+    children = [_Branch(state, branch.weight, branch.outcomes, branch.pins)]
+    # simultaneous facts: each conditional sees pre-group facts only
+    for ev in group.draws:
+        facts = tuple(
+            (k, v) for k, v in branch.outcomes if k in comp.writers and comp.writers[k].agent in ev.pool
+        )
+        dist = _shared(memo, state, ("conditioned", ev.index, facts), _conditioned, memo, comp, state, ev, facts)
+        children = [
+            _Branch(child.state, child.weight * p, child.outcomes + ((ev.record, label),), child.pins)
+            for child in children for label, p in dist
+        ]
+    for step in group.steps:
+        if step.pin is not None:
+            children = [_pinned_child(memo, comp, step, child) for child in children]
+        else:
+            children = [
+                _Branch(projected, child.weight * p, child.outcomes + ((step.result, label),), child.pins)
+                for child in children
+                for label, p, projected in _shared(memo, child.state, ("split", step.index),
+                                                   _split, memo, comp, child.state, step)
+            ]
     return children
 
 
-def _execute(comp: _Compiled, rules: RuleSet, chooser=None) -> list[_Branch]:
+def _execute(comp: _Compiled, chooser=None) -> list[_Branch]:
     """Expand the branch tree; with a chooser, follow a single sampled path."""
     branches = [_Branch(state=comp.initial, weight=1.0)]
     for group in comp.groups:
-        memo: dict = {}  # kernel work per state node, shared by this group's branches
+        memo: dict = {}  # step results per state node and kernel work per factor, shared by this group's branches
         new: list[_Branch] = []
         for b in branches:
-            children = _expand_group(comp, group, b, rules, memo)
+            children = _expand_group(comp, group, b, memo)
             if chooser is not None:
                 children = [chooser(b, children)]
             new.extend(children)
@@ -644,10 +618,10 @@ def _execute(comp: _Compiled, rules: RuleSet, chooser=None) -> list[_Branch]:
 def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
     """Sample a single history; identical (scenario, rules, seed) gives identical output."""
     _require_valid(s)
-    return _run(_compile(s), rules, seed)
+    return _run(_compile(s, rules), seed)
 
 
-def _run(comp: _Compiled, rules: RuleSet, seed: int) -> RunResult:
+def _run(comp: _Compiled, seed: int) -> RunResult:
     s = comp.scenario
     rng = random.Random(seed)
 
@@ -663,7 +637,7 @@ def _run(comp: _Compiled, rules: RuleSet, seed: int) -> RunResult:
                 return c
         return children[-1]
 
-    leaf = _execute(comp, rules, chooser)[0]
+    leaf = _execute(comp, chooser)[0]
     memo: dict = {}
     perspectives = {
         name: _branch_perspective(comp, leaf, name, memo)
@@ -672,7 +646,7 @@ def _run(comp: _Compiled, rules: RuleSet, seed: int) -> RunResult:
     # the ledger and anomaly notes describe the sampled history only
     entries = tuple(
         e for key, label in leaf.outcomes if key in comp.writers
-        for e in _fact_entries(comp.writers[key], label, rules)
+        for e in _fact_entries(comp.writers[key], label, comp.rules)
     )
     result_names = {ev.index: ev.result for ev in comp.events if isinstance(ev, _CMeasure)}
     anomalies = tuple(
@@ -682,7 +656,7 @@ def _run(comp: _Compiled, rules: RuleSet, seed: int) -> RunResult:
     )
     return RunResult(
         scenario=s.name,
-        rules=rules,
+        rules=comp.rules,
         seed=seed,
         results={key: label for key, label in leaf.outcomes if key not in comp.writers},
         ledger=RelativeFactLedger(entries),
@@ -708,13 +682,13 @@ def _agent_view(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> tupl
         state = branch.state
         for key, value in held:
             readout = comp.writers[key].readout
-            rest, factor = _touch(memo, comp, state, readout.target_ids)
+            factor = _touch(memo, comp, state, readout.target_ids)
             # a stable collapse on an entangled partner can strip a
             # relative fact of support; it stays known, but cannot
             # steer the state.  The view is made dense next, so nothing
             # is split off.
             try:
-                state = _with(comp, rest, _collapsed(memo, comp, factor, readout, value, False))
+                state = _with(comp, state, _collapsed(memo, comp, factor, readout, value, False))
             except qcore.ZeroProbabilityError:
                 pass
         return state
@@ -728,7 +702,7 @@ def _branch_perspective(comp: _Compiled, branch: _Branch, name: str, memo: dict)
     for key, value in branch.outcomes:
         if key in own_results:
             knowledge.append((key, value))
-    dense = _shared(memo, state, ("dense",), lambda: _product(state, comp.order))
+    dense = _shared(memo, state, ("dense",), _product, state, comp.order)
     return PerspectiveState(name, dense, tuple(knowledge))
 
 
@@ -746,13 +720,13 @@ def outcome_keys(s: sc.Scenario) -> tuple[str, ...]:
 def exact_joint(s: sc.Scenario, rules: RuleSet) -> dict[tuple[Label, ...], float]:
     """Exact joint distribution over all outcome variables, keyed per outcome_keys."""
     _require_valid(s)
-    return _exact_joint(_compile(s), rules)
+    return _exact_joint(_compile(s, rules))
 
 
-def _exact_joint(comp: _Compiled, rules: RuleSet) -> dict[tuple[Label, ...], float]:
+def _exact_joint(comp: _Compiled) -> dict[tuple[Label, ...], float]:
     keys = outcome_keys(comp.scenario)
     out: dict[tuple[Label, ...], float] = {}
-    for leaf in _execute(comp, rules):
+    for leaf in _execute(comp):
         values = dict(leaf.outcomes)
         point = tuple(values[k] for k in keys)
         out[point] = out.get(point, 0.0) + leaf.weight
@@ -805,7 +779,7 @@ def predicted_distribution(
 
     _require_valid(s)
     # every leaf is one row: sibling outcomes differ, so no two leaves share a point
-    joint = _exact_joint(_compile(s), rules)
+    joint = _exact_joint(_compile(s, rules))
     return _conditional_marginal(joint, outcome_keys(s), result, conditioning)
 
 
@@ -835,12 +809,12 @@ def perspective(
         raise ValueError(f"event index {after} falls inside a concurrent group")
 
     truncated = sc.Scenario(s.name, s.systems, s.agents, s.observers, s.bases, s.timeline[: after + 1])
-    tcomp = _compile(truncated)
+    tcomp = _compile(truncated, rules)
 
     given = dict(given or {})
     kept: list[_Branch] = []
     known: list[dict[str, Label]] = []  # each kept leaf's outcomes
-    for leaf in _execute(tcomp, rules):
+    for leaf in _execute(tcomp):
         values = dict(leaf.outcomes)
         if any(values.get(k) != v for k, v in given.items()):
             continue
@@ -859,9 +833,9 @@ def perspective(
 
 def _mixture(comp: _Compiled, states: list[tuple[float, _State]]) -> Union[qcore.StateVector, qcore.DensityMatrix]:
     # branches sharing a state node, the same factors, contribute one outer product
-    nodes: dict[tuple[int, ...], list] = {}
+    nodes: dict[_State, list] = {}
     for w, state in states:
-        nodes.setdefault(tuple(map(id, state)), [0.0, state])[0] += w
+        nodes.setdefault(state, [0.0, state])[0] += w
     layout = comp.layout
     if len(nodes) == 1:
         vec = _product(states[0][1], comp.order).amplitudes

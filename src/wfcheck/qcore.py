@@ -199,7 +199,8 @@ class BasisSpec:
             d *= dim
         return d
 
-    @property
+    # cached: the interpret engine reads it for every branch an outcome step expands
+    @functools.cached_property
     def target_ids(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.targets)
 
@@ -208,42 +209,27 @@ class BasisSpec:
 # assembly and transport
 
 
-def tensor(*objects):
-    """Tensor product of states or of unitaries, in the order given.
+def tensor(*states: StateVector) -> StateVector:
+    """Tensor product of states, in the order given.
 
     Layouts concatenate; duplicate subsystem identifiers are rejected.
     """
-    if not objects:
+    if not states:
         raise ValueError("tensor() needs at least one argument")
-    combined = SpaceLayout(tuple(sub for o in objects for sub in o.layout.subsystems))
-    if all(isinstance(o, StateVector) for o in objects):
-        amp = objects[0].amplitudes
-        for o in objects[1:]:
-            amp = np.kron(amp, o.amplitudes)
-        return StateVector(combined, amp)
-    if all(isinstance(o, Unitary) for o in objects):
-        mat = objects[0].matrix
-        for o in objects[1:]:
-            mat = np.kron(mat, o.matrix)
-        return Unitary(combined, mat)
-    raise TypeError("tensor() arguments must be all StateVector or all Unitary")
+    combined = SpaceLayout(tuple(sub for s in states for sub in s.layout.subsystems))
+    amp = states[0].amplitudes
+    for s in states[1:]:
+        amp = np.kron(amp, s.amplitudes)
+    return StateVector(combined, amp)
 
 
-def permute(obj: StateVector | Unitary, new_order: Sequence[str]):
-    """Reorder a state's or unitary's subsystems to ``new_order``."""
-    layout = obj.layout
+def permute(s: StateVector, new_order: Sequence[str]) -> StateVector:
+    """Reorder a state's subsystems to ``new_order``."""
+    layout = s.layout
     if sorted(new_order) != sorted(layout.ids):
         raise ValueError(f"new order {tuple(new_order)} is not a permutation of {layout.ids}")
-    perm = layout.positions(new_order)
-    new_layout = layout.sublayout(new_order)
-    if isinstance(obj, StateVector):
-        t = obj.tensor_view().transpose(perm)
-        return StateVector(new_layout, t.reshape(-1))
-    k = len(layout.dims)
-    t = obj.matrix.reshape(layout.dims + layout.dims)
-    t = t.transpose(tuple(perm) + tuple(p + k for p in perm))
-    n = new_layout.total_dimension
-    return Unitary(new_layout, t.reshape(n, n))
+    t = s.tensor_view().transpose(layout.positions(new_order))
+    return StateVector(layout.sublayout(new_order), t.reshape(-1))
 
 
 def apply(u: Unitary, s: StateVector) -> StateVector:

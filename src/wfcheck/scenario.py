@@ -34,6 +34,7 @@ diagnostics without raising.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -198,6 +199,40 @@ def record_key(agent: str, record: str) -> str:
 def pointer_cells(n: int, dim: int) -> tuple[str, ...]:
     """Labels of the pointer states past a writer's n outcomes in a record of dimension dim."""
     return tuple(f"cell{j}" for j in range(n, dim))
+
+
+def _state_literal_problem(state: StateExpr, target_dim: int | None = None) -> str | None:
+    """Why the kernel would reject a state literal (its norm, or a raw list's
+    length on a target space of ``target_dim``), or None."""
+    if isinstance(state, SchmidtState):
+        norm = state.c0 * state.c0 + state.c1 * state.c1
+        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
+            return f"unnormalized state literal: schmidt amplitudes square-sum to {norm!r}"
+    elif isinstance(state, RawState):
+        norm = sum(abs(a) ** 2 for a in state.amplitudes)
+        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
+            return f"unnormalized state literal: squared norm is {norm!r}"
+        if target_dim is not None and len(state.amplitudes) != target_dim:
+            return f"dimension mismatch: {len(state.amplitudes)} amplitudes for a target space of dimension {target_dim}"
+    return None
+
+
+def _basis_decl_problem(b: BasisDecl) -> str | None:
+    """Why the kernel would reject a declared basis, or None."""
+    if len(b.labels) != len(set(b.labels)):  # by value, as BasisSpec compares: 1 == 1.0
+        return "basis labels must be pairwise distinct"
+    if len(b.vectors) != b.dim or len(b.labels) != b.dim:
+        return (f"dimension mismatch: basis {b.name!r} declares dimension {b.dim} "
+                f"but has {len(b.vectors)} vectors and {len(b.labels)} labels")
+    for v in b.vectors:
+        if len(v) != b.dim:
+            return f"dimension mismatch: vector of length {len(v)} in basis of dimension {b.dim}"
+    for i, vi in enumerate(b.vectors):
+        for j, vj in enumerate(b.vectors):
+            ip = sum(x.conjugate() * y for x, y in zip(vi, vj))
+            if abs(ip - (1.0 if i == j else 0.0)) > qcore.DEFAULT_ATOL:
+                return f"basis {b.name!r} vectors are not orthonormal (rows {i} and {j})"
+    return None
 
 
 def layout_of(s: Scenario) -> qcore.SpaceLayout:
@@ -471,20 +506,10 @@ def _parse_basis_decl(cur: _Cursor, st: _ParseState) -> None:
         cur.take(";")
         vectors.append(_parse_vector(cur))
     cur.end()
-    if len(labels) != len(set(labels)):  # by value, as BasisSpec compares: 1 == 1.0
-        raise cur.err("basis labels must be pairwise distinct")
-    if len(vectors) != dim or len(labels) != dim:
-        raise cur.err(f"dimension mismatch: basis {name!r} declares dimension {dim} but has {len(vectors)} vectors and {len(labels)} labels")
-    for v in vectors:
-        if len(v) != dim:
-            raise cur.err(f"dimension mismatch: vector of length {len(v)} in basis of dimension {dim}")
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
-            ip = sum(a.conjugate() * b for a, b in zip(vi, vj))
-            want = 1.0 if i == j else 0.0
-            if abs(ip - want) > qcore.DEFAULT_ATOL:
-                raise cur.err(f"basis {name!r} vectors are not orthonormal (rows {i} and {j})")
-    st.bases.append(BasisDecl(name, dim, tuple(labels), tuple(vectors)))
+    decl = BasisDecl(name, dim, tuple(labels), tuple(vectors))
+    if problem := _basis_decl_problem(decl):
+        raise cur.err(problem)
+    st.bases.append(decl)
 
 
 def _parse_vector(cur: _Cursor) -> tuple[complex, ...]:
@@ -523,6 +548,7 @@ def _parse_target_list(cur: _Cursor, st: _ParseState) -> tuple[str, ...]:
 
 def _parse_state_expr(cur: _Cursor) -> StateExpr:
     tok = cur.take(None)
+    state: StateExpr
     if tok == "ghz":
         return GhzState()
     if tok == "schmidt":
@@ -531,18 +557,15 @@ def _parse_state_expr(cur: _Cursor) -> StateExpr:
         cur.take(",")
         c1 = cur.take_float("amplitude")
         cur.take(")")
-        norm = c0 * c0 + c1 * c1
-        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
-            raise cur.err(f"unnormalized state literal: schmidt amplitudes square-sum to {norm!r}")
-        return SchmidtState(c0, c1)
-    if tok == "state":
-        amps = _parse_vector(cur)
-        norm = sum(abs(a) ** 2 for a in amps)
-        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
-            raise cur.err(f"unnormalized state literal: squared norm is {norm!r}")
-        return RawState(amps)
-    cur.pos -= 1
-    raise cur.err(f"expected a state expression (ghz, schmidt(...), state [...]), found {tok!r}")
+        state = SchmidtState(c0, c1)
+    elif tok == "state":
+        state = RawState(_parse_vector(cur))
+    else:
+        cur.pos -= 1
+        raise cur.err(f"expected a state expression (ghz, schmidt(...), state [...]), found {tok!r}")
+    if problem := _state_literal_problem(state):
+        raise cur.err(problem)
+    return state
 
 
 def _parse_basis_expr(cur: _Cursor, st: _ParseState) -> BasisExpr:
@@ -567,13 +590,8 @@ def _parse_prepare(cur: _Cursor, st: _ParseState) -> Prepare:
     cur.take("on")
     targets = _parse_target_list(cur, st)
     cur.end()
-    if isinstance(state, RawState):
-        want = 1
-        for t in targets:
-            dim = st.target_dim(t)
-            want *= dim if dim else 1
-        if len(state.amplitudes) != want:
-            raise cur.err(f"dimension mismatch: {len(state.amplitudes)} amplitudes for a target space of dimension {want}")
+    if problem := _state_literal_problem(state, math.prod(st.target_dim(t) or 1 for t in targets)):
+        raise cur.err(problem)
     return Prepare(state, targets)
 
 
@@ -761,6 +779,12 @@ def basis_expr_dim(s: Scenario, e: BasisExpr, target_dim: int) -> int | None:
     return None
 
 
+def _declared_names(e: BasisExpr) -> tuple[str, ...]:
+    if isinstance(e, LiftedBasis):
+        return _declared_names(e.outer) + _declared_names(e.inner)
+    return (e.name,) if isinstance(e, NamedBasis) else ()
+
+
 def validate(s: Scenario) -> list[Diagnostic]:
     """Semantic diagnostics; an empty list means the scenario can run."""
     out: list[Diagnostic] = []
@@ -776,6 +800,8 @@ def validate(s: Scenario) -> list[Diagnostic]:
             dims[key] = r.dim
     observer_names = {o.name for o in s.observers}
     agent_names = {a.name for a in s.agents}
+    # reported where a basis is used; an unused declaration never reaches the kernel
+    bad_bases = {b.name: problem for b in s.bases if (problem := _basis_decl_problem(b))}
 
     prepared: set[str] = set()
     touched: set[str] = set()
@@ -808,6 +834,9 @@ def validate(s: Scenario) -> list[Diagnostic]:
         return ()
 
     def check_basis(i: int, e: BasisExpr, targets: tuple[str, ...]) -> None:
+        for name in dict.fromkeys(_declared_names(e)):
+            if name in bad_bases:
+                out.append(Diagnostic(i, bad_bases[name]))
         want = target_space_dim(targets)
         got = basis_expr_dim(s, e, want)
         if got is None or got != want:
@@ -832,6 +861,8 @@ def validate(s: Scenario) -> list[Diagnostic]:
             if isinstance(ev.state, SchmidtState):
                 if len(ev.targets) != 2 or len({dims.get(t) for t in ev.targets}) != 1 or dims.get(ev.targets[0]) != 2:
                     out.append(Diagnostic(i, "state/target mismatch: schmidt(c0, c1) needs two dimension-2 targets"))
+            if problem := _state_literal_problem(ev.state, target_space_dim(ev.targets)):
+                out.append(Diagnostic(i, problem))
             prepared.update(t for t in ev.targets if t in system_ids)
         elif isinstance(ev, Interact):
             if ev.agent not in agent_names:

@@ -204,20 +204,27 @@ class TestRunCommand:
             assert row["frequency"] == pytest.approx(row["count"] / n, abs=1e-15)
 
     def test_text_and_json_agree_numerically(self, capsys):
-        args = (str(SCENARIOS / "epr.wfs"), "--rules", "rqm5", "--seed", "5")
+        args = (str(SCENARIOS / "epr.wfs"), "--rules", "rqm5", "--seed", "5", "--samples", "500")
         _, text_out, _ = invoke(capsys, "run", *args)
         _, doc, _ = run_json(capsys, "run", *args, "--format", "json")
         want = {tuple(row["outcome"]): row["probability"]
                 for row in doc["result"]["exact"]["rows"]}
-        got = {}
+        want_counts = {tuple(row["outcome"]): row["count"]
+                       for row in doc["result"]["sampled"]["rows"]}
+        got, counts = {}, {}
         for line in text_out.splitlines():
+            parts = line.split()
             if line.startswith("joint "):
-                parts = line.split()
                 outcome = tuple(int(p.split("=")[1]) for p in parts[1:-2])
                 got[outcome] = float(parts[-1])
+            elif line.startswith("sampled "):
+                outcome = tuple(int(p.split("=")[1]) for p in parts[1:-4])
+                counts[outcome] = int(parts[-3])
         assert set(got) == set(want)
         for k in want:
             assert got[k] == pytest.approx(want[k], rel=1e-11, abs=1e-11)
+        assert "samples 500" in text_out.splitlines()
+        assert counts == want_counts and sum(counts.values()) == 500
 
     def test_pin_flag_threshold(self, capsys):
         base = ("run", str(SCENARIOS / "cpl.wfs"), "--rules", "cpl",
@@ -241,6 +248,9 @@ class TestRunCommand:
             if doc["result"]["anomalies"]:
                 found = True
                 assert any(p["flagged"] for p in doc["result"]["pins"])
+                _, text_out, _ = invoke(capsys, "run", str(path), "--rules", "cpl", "--seed", str(seed))
+                notes = [line[len("anomaly "):] for line in text_out.splitlines() if line.startswith("anomaly ")]
+                assert notes == doc["result"]["anomalies"]
                 break
         assert found
 

@@ -16,13 +16,17 @@ cross-perspective pin forces agreement instead.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wfcheck
 from wfcheck import interpret as it
 from wfcheck import qcore
 from wfcheck import scenario as sc
+
+SCENARIOS = Path(wfcheck.__file__).parent / "scenarios"
 
 C0 = math.sqrt(0.3)
 C1 = math.sqrt(0.7)
@@ -604,3 +608,70 @@ interact a on S basis basis1 record R
 """
         with pytest.raises(ValueError, match="does not validate"):
             it.run(sc.parse(text), it.RuleSet.rqm5(), seed=0)
+
+    SKEW = sc.BasisDecl("skew", 2, (0, 1), ((1 + 0j, 0j), (0.6 + 0j, 0.8 + 0j)))
+    QUBIT = sc.RawState((1 + 0j, 0j))
+
+    # literals built in code, as library callers build them: the parser
+    # would refuse them, and the kernel raises without an event index
+    @pytest.mark.parametrize("bases,timeline,index,fragment", [
+        ((), (sc.Prepare(sc.RawState((1 + 0j, 0j, 0j)), ("S",)),), 0,
+         "dimension mismatch: 3 amplitudes for a target space of dimension 2"),
+        ((), (sc.Prepare(sc.RawState((0.6 + 0j, 0.7 + 0j)), ("S",)),), 0, "unnormalized state literal"),
+        ((), (sc.Prepare(sc.SchmidtState(0.3, 0.4), ("S", "T")),), 0, "unnormalized state literal"),
+        ((SKEW,), (sc.Prepare(QUBIT, ("S",)), sc.Interact("a", ("S",), sc.NamedBasis("skew"), "R")), 1,
+         "basis 'skew' vectors are not orthonormal (rows 0 and 1)"),
+    ], ids=["raw_length", "raw_norm", "schmidt_norm", "basis_not_orthonormal"])
+    def test_kernel_rejected_literals_do_not_validate(self, bases, timeline, index, fragment):
+        s = sc.Scenario("lit", (("S", 2), ("T", 2)), (sc.AgentDecl("a", (sc.RecordDecl("R", 2, 0),)),),
+                        (), bases, timeline)
+        diags = sc.validate(s)
+        assert [d.event_index for d in diags] == [index]
+        assert fragment in diags[0].reason
+        with pytest.raises(ValueError, match="does not validate"):
+            it.exact_joint(s, it.RuleSet.rqm5())
+
+    def test_unused_bad_basis_declaration_validates(self):
+        s = sc.Scenario("lit", (("S", 2),), (), (), (self.SKEW,), (sc.Prepare(self.QUBIT, ("S",)),))
+        assert sc.validate(s) == []
+        assert it.exact_joint(s, it.RuleSet.rqm5()) == {(): 1.0}
+
+
+TILT = """
+scenario tilt
+system S 2
+agent alice record A 2 init 0
+observer bob
+basis tilt on 2 labels up, down vectors [0.6+0i, 0.8+0i] ; [0.8+0i, -0.6+0i]
+prepare state [1+0i, 0+0i] on S
+interact alice on S basis tilt record A
+read bob record alice.A result rb
+measure bob on S basis tilt result rs
+"""
+
+
+@pytest.mark.parametrize("kind,want", [
+    # |0> = 0.6|up> + 0.8|down>: a collapse or a pin makes all three agree
+    ("orthodox", {("up",) * 3: 0.36, ("down",) * 3: 0.64}),
+    ("cpl", {("up",) * 3: 0.36, ("down",) * 3: 0.64}),
+    # the readout is Born distributed whatever the fact; S then follows it
+    ("rqm5", {("up", "up", "up"): 0.1296, ("up", "down", "down"): 0.2304,
+              ("down", "up", "up"): 0.2304, ("down", "down", "down"): 0.4096}),
+])
+def test_declared_basis_closed_forms(kind, want):
+    joint = it.exact_joint(sc.parse(TILT), it.RuleSet(kind))
+    assert set(joint) == set(want)
+    for point, p in want.items():
+        assert abs(joint[point] - p) <= 1e-12
+
+
+def test_pin_turns_relative_fact_into_known_result():
+    # given alice's fact, a pinned readout is certain and the outsider's state
+    # pure; without the pin the readout stays Born distributed and mixed
+    s = sc.parse((SCENARIOS / "cpl.wfs").read_text(encoding="utf-8"))
+    pinned = it.perspective(s, it.RuleSet.rqm5_cpl(), "bob", given={"alice.A": 1})
+    assert pinned.knowledge == (("alice.A", 1), ("rb", 1))
+    assert isinstance(pinned.state, qcore.StateVector)
+    free = it.perspective(s, it.RuleSet.rqm5(), "bob", given={"alice.A": 1})
+    assert free.knowledge == (("alice.A", 1),)
+    assert isinstance(free.state, qcore.DensityMatrix)

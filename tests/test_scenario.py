@@ -126,18 +126,24 @@ def test_random_raw_states_round_trip():
         assert sc.parse(sc.dumps(s)) == s
 
 
-def test_named_basis_declaration():
-    text = """scenario named
+@pytest.mark.parametrize("labels,want", [
+    ("a, b, c", ("a", "b", "c")),
+    ("0, 2.5, -1", (0, 2.5, -1)),  # numeric labels print as the numbers they parse to
+], ids=["names", "numeric_labels"])
+def test_named_basis_declaration(labels, want):
+    text = f"""scenario named
 system S 3
 observer o
-basis tri on 3 labels a, b, c vectors [1+0i, 0+0i, 0+0i] ; [0+0i, 1+0i, 0+0i] ; [0+0i, 0+0i, 1+0i]
+basis tri on 3 labels {labels} vectors [1+0i, 0+0i, 0+0i] ; [0+0i, 1+0i, 0+0i] ; [0+0i, 0+0i, 1+0i]
 prepare state [1+0i, 0+0i, 0+0i] on S
 measure o on S basis tri result r
 """
     s = sc.parse(text)
-    assert s.bases[0].labels == ("a", "b", "c")
+    assert s.bases[0].labels == want
+    assert [type(label) for label in s.bases[0].labels] == [type(label) for label in want]
     assert s.bases[0].vectors[1] == (0j, 1 + 0j, 0j)
     assert sc.validate(s) == []
+    assert f"labels {labels} vectors" in sc.dumps(s)
     assert sc.parse(sc.dumps(s)) == s
 
 
