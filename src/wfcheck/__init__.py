@@ -17,8 +17,6 @@ The package is organized in four layers:
 ``wfcheck.cli`` exposes the same functionality as a command-line tool.
 """
 
-from importlib import resources as _resources
-
 __version__ = "0.1.0"
 
 from .qcore import (
@@ -36,9 +34,11 @@ from .qcore import (
     schmidt,
 )
 from .scenario import (
+    BUNDLED_SCENARIOS,
     Diagnostic,
     Scenario,
     ScenarioError,
+    bundled_scenario_text,
     dumps,
     parse,
     record_key,
@@ -70,17 +70,6 @@ from .checks import (
     parity_search,
     substituted_parity_constraints,
 )
-
-BUNDLED_SCENARIOS = ("epr", "cpl", "ghz")
-
-
-def bundled_scenario_text(name: str) -> str:
-    """Source text of a bundled scenario file ("epr", "cpl", or "ghz")."""
-    if name not in BUNDLED_SCENARIOS:
-        raise ValueError(f"unknown bundled scenario {name!r}; choose from {BUNDLED_SCENARIOS}")
-    path = _resources.files(__name__).joinpath("scenarios", f"{name}.wfs")
-    return path.read_text(encoding="utf-8")
-
 
 __all__ = [
     "__version__",

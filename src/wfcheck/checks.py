@@ -13,18 +13,19 @@ Three checks, each emitting a structured report:
   pool restores agreement.  The two partition readings disagree, which
   the report flags as an ambiguity.
 * ``ghz_check``: three qubits in an equal superposition of all-0 and
-  all-1, each copied into a record.  Rotated joint measurements of the
-  (system, record) pairs obey fixed sign constraints whose conjunction
-  admits no fixed record-value assignment: the exhaustive search over
-  all eight sign patterns comes back empty, and multiplying the
-  constraints formally squares the record product to -1.
+  all-1, each copied into a record, the state taken from the engine.
+  Rotated joint measurements of the (system, record) pairs obey fixed
+  sign constraints whose conjunction admits no fixed record-value
+  assignment: the exhaustive search over all eight sign patterns comes
+  back empty, and multiplying the constraints formally squares the
+  record product to -1.
 
 ``parity_search`` is the generic exhaustive solver the last step uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
@@ -112,7 +113,7 @@ def cpl_probability_check(c, r_a: int) -> ContradictionReport:
     if d < 2:
         raise ValueError("need at least two coefficients")
     norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
+    if not abs(norm - 1.0) <= qcore.DEFAULT_ATOL:
         raise ValueError(f"coefficients are not normalized: squared norm {norm!r}")
     if not 0 <= r_a < d:
         raise ValueError(f"record value index {r_a} out of range for {d} outcomes")
@@ -224,7 +225,7 @@ def epr_correlation_check(c) -> ContradictionReport:
     if len(pair) != 2:
         raise ValueError("need exactly two coefficients")
     c0, c1 = pair
-    if abs(c0 * c0 + c1 * c1 - 1.0) > qcore.DEFAULT_ATOL:
+    if not abs(c0 * c0 + c1 * c1 - 1.0) <= qcore.DEFAULT_ATOL:
         raise ValueError(f"coefficients are not normalized: squared norm {c0 * c0 + c1 * c1!r}")
     # the engine drops outcomes at or below PROB_EPS
     if min(c0 * c0, c1 * c1) <= qcore.PROB_EPS:
@@ -287,31 +288,14 @@ def epr_correlation_check(c) -> ContradictionReport:
 # three-qubit parity contexts
 
 
-def _ghz_post_interaction_state() -> qcore.StateVector:
-    layout = qcore.SpaceLayout(
-        (("S1", 2), ("S2", 2), ("S3", 2), ("A1", 2), ("A2", 2), ("A3", 2))
-    )
-    amps = np.zeros(64, dtype=complex)
-    ghz = qcore.ghz_amplitudes(3)
-    for l3 in range(8):
-        i1, i2, i3 = (l3 >> 2) & 1, (l3 >> 1) & 1, l3 & 1
-        amps[np.ravel_multi_index((i1, i2, i3, 0, 0, 0), (2,) * 6)] = ghz[l3]
-    psi = qcore.StateVector(layout, amps)
-    for m in (1, 2, 3):
-        spec = qcore.qubit_ladder_basis((f"S{m}", 2), 1)
-        u = qcore.build_premeasurement(spec, (f"A{m}", 2), 0)
-        psi = qcore.apply_local(psi, u)
-    return psi
-
-
 def _pair_spec(m: int) -> qcore.BasisSpec:
     inner = qcore.qubit_ladder_basis((f"S{m}", 2), 1)
     outer = qcore.qubit_ladder_basis((f"S{m}", 2), 2)
-    return qcore.lifted_basis(outer, inner, (f"A{m}", 2))
+    return qcore.lifted_basis(outer, inner, (f"alice.A{m}", 2))
 
 
 def _record_spec(m: int) -> qcore.BasisSpec:
-    return qcore.computational_basis((f"A{m}", 2), labels=(1, -1))
+    return qcore.computational_basis((f"alice.A{m}", 2), labels=(1, -1))
 
 
 def _context_products(dist: dict[tuple, float]) -> tuple[dict[int, float], float]:
@@ -330,13 +314,15 @@ def _context_products(dist: dict[tuple, float]) -> tuple[dict[int, float], float
 def ghz_check(fact_holder: str = "agent") -> ContradictionReport:
     """Run the three-qubit parity argument end to end.
 
-    The construction is state-level, so the fact-holder policy can only
-    relabel whose ledger the record values sit in; the report records the
-    policy to make that insensitivity checkable.
+    The state is wigner's in the bundled ``ghz`` scenario, run under
+    ``rqm5`` up to its first outside measurement.  The fact-holder policy
+    only relabels whose ledger the record values sit in; the report
+    records the policy to make that insensitivity checkable.
     """
-    if fact_holder not in it.FACT_HOLDERS:
-        raise ValueError(f"unknown fact holder {fact_holder!r}")
-    psi = _ghz_post_interaction_state()
+    s = sc.parse(sc.bundled_scenario_text("ghz"))
+    first = next(i for i, ev in enumerate(s.timeline) if isinstance(ev, sc.Measure))
+    interactions = replace(s, timeline=s.timeline[:first])
+    psi = it.run(interactions, it.RuleSet.rqm5(fact_holder)).perspectives["wigner"].state
 
     findings: list[Finding] = []
 

@@ -122,7 +122,7 @@ def _read_scenario(path: str) -> sc.Scenario:
         raise _Failure(EXIT_USAGE, f"{path}: {exc}") from exc
     problems = sc.validate(scenario)
     if problems:
-        lines = [f"{path}: event {d.event_index}: {d.reason}" for d in problems]
+        lines = [f"{path}: {d}" for d in problems]
         raise _Failure(EXIT_USAGE, "\n".join(lines))
     return scenario
 
@@ -211,6 +211,8 @@ def _parse_probabilities(text: str) -> list[float]:
         values = [float(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse probability list {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("probabilities must be finite")
     if any(v < 0 for v in values):
         raise ValueError("probabilities must be nonnegative")
     return values

@@ -254,15 +254,10 @@ def _basis_spec(s: sc.Scenario, expr: sc.BasisExpr, targets: tuple[tuple[str, in
     return qcore.lifted_basis(outer, inner, record)
 
 
-def _pointer_readout(key: str, dim: int, writer_labels: tuple[Label, ...]) -> qcore.BasisSpec:
-    labels = tuple(writer_labels) + sc.pointer_cells(len(writer_labels), dim)
-    return qcore.BasisSpec(((key, dim),), np.eye(dim, dtype=complex), labels)
-
-
 def _require_valid(s: sc.Scenario) -> None:
     diags = sc.validate(s)
     if diags:
-        msgs = "; ".join(f"event {d.event_index}: {d.reason}" for d in diags)
+        msgs = "; ".join(map(str, diags))
         raise ValueError(f"scenario {s.name!r} does not validate: {msgs}")
 
 
@@ -295,7 +290,8 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             bspec = _basis_spec(s, ev.basis, targets)
             key = sc.record_key(ev.agent, ev.record)
             u = qcore.build_premeasurement(bspec, (key, dims[key]), record_init[key])
-            readout = _pointer_readout(key, dims[key], bspec.labels)
+            readout = qcore.computational_basis(
+                (key, dims[key]), labels=bspec.labels + sc.pointer_cells(len(bspec.labels), dims[key]))
             pool = pools.get(ev.agent, frozenset((ev.agent,)))
             cev = writers[key] = _CInteract(i, ev.agent, key, "+".join(ev.targets), u, readout, pool)
         elif isinstance(ev, sc.Measure):

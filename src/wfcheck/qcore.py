@@ -10,12 +10,12 @@ partial traces, Schmidt decompositions and the pre-measurement unitaries
 that copy a measured basis index onto a fresh record subsystem.
 
 All floating-point comparisons use the absolute tolerance
-``DEFAULT_ATOL`` = 1e-10.  Each call acts on one dense vector, which is meant
-to stay small (a few thousand amplitudes at most).  The interpret engine
-keeps a branch state as a product of such vectors, one per group of
-subsystems that events have coupled, and hands the kernel only the factor
-an event touches, so the dimension a call sees is that factor's, not the
-whole layout's.
+``DEFAULT_ATOL`` = 1e-10, each written so that NaN fails it.  Each call
+acts on one dense vector, which is meant to stay small (a few thousand
+amplitudes at most).  The interpret engine keeps a branch state as a
+product of such vectors, one per group of subsystems that events have
+coupled, and hands the kernel only the factor an event touches, so the
+dimension a call sees is that factor's, not the whole layout's.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class StateVector:
         if arr.shape != (n,):
             raise ValueError(f"amplitude length {arr.shape[0]} does not match layout dimension {n}")
         norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > DEFAULT_ATOL:
+        if not abs(norm_sq - 1.0) <= DEFAULT_ATOL:
             raise ValueError(f"unnormalized input state: squared norm {norm_sq!r} differs from 1 by more than {DEFAULT_ATOL}")
         arr.setflags(write=False)
 
@@ -135,10 +135,10 @@ class DensityMatrix:
         if not np.allclose(arr, arr.conj().T, atol=DEFAULT_ATOL, rtol=0.0):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = float(np.trace(arr).real)
-        if abs(tr - 1.0) > DEFAULT_ATOL:
+        if not abs(tr - 1.0) <= DEFAULT_ATOL:
             raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {DEFAULT_ATOL}")
         eigs = np.linalg.eigvalsh(arr)
-        if float(eigs.min()) < -10.0 * DEFAULT_ATOL:
+        if not float(eigs.min()) >= -10.0 * DEFAULT_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {float(eigs.min())!r}")
         arr.setflags(write=False)
 
@@ -157,7 +157,7 @@ class Unitary:
         if arr.shape != (n, n):
             raise ValueError(f"matrix shape {arr.shape} does not match layout dimension {n}")
         dev = float(np.max(np.abs(arr.conj().T @ arr - np.eye(n))))
-        if dev > DEFAULT_ATOL:
+        if not dev <= DEFAULT_ATOL:
             raise ValueError(f"operator is not unitary: max |U†U - I| = {dev!r}")
         arr.setflags(write=False)
 
@@ -188,7 +188,7 @@ class BasisSpec:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be pairwise distinct")
         gram = arr.conj() @ arr.T
-        if float(np.max(np.abs(gram - np.eye(arr.shape[0])))) > DEFAULT_ATOL:
+        if not float(np.max(np.abs(gram - np.eye(arr.shape[0])))) <= DEFAULT_ATOL:
             raise ValueError("basis vectors are not orthonormal within tolerance")
         arr.setflags(write=False)
 
@@ -279,7 +279,7 @@ def born_distribution(s: StateVector, b: BasisSpec) -> dict[Label, float]:
         p = float(np.vdot(residual, residual).real)
         total += p
         out[label] = p
-    if abs(total - 1.0) > 100.0 * DEFAULT_ATOL:
+    if not abs(total - 1.0) <= 100.0 * DEFAULT_ATOL:
         raise ValueError(f"Born distribution sums to {total!r}; basis does not resolve the state")
     return out
 
@@ -443,14 +443,11 @@ def product_basis(bases: Sequence[BasisSpec]) -> BasisSpec:
         if name in seen:
             raise ValueError(f"product basis factors overlap on subsystem {name!r}")
         seen.add(name)
-    vectors = []
-    for rows in itertools.product(*(b.vectors for b in bases)):
-        vec = np.ones(1, dtype=np.complex128)
-        for row in rows:
-            vec = np.kron(vec, row)
-        vectors.append(vec)
+    # rows of a Kronecker product of matrices run first factor slowest, as
+    # itertools.product does
+    vectors = functools.reduce(np.kron, [b.vectors for b in bases])
     labels = tuple(itertools.product(*(b.labels for b in bases)))
-    return BasisSpec(targets=targets, vectors=np.array(vectors), labels=labels)
+    return BasisSpec(targets=targets, vectors=vectors, labels=labels)
 
 
 def i_superposed(b: BasisSpec) -> BasisSpec:

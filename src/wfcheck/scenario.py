@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from importlib import resources
 from typing import Union
 
 from . import qcore
@@ -48,6 +49,8 @@ _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^(?P<re>{_NUM})?(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$|^(?P<only_re>{_NUM})$|^(?P<only_im>{_NUM})i$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(rf"^{_NUM}$")
+
+BUNDLED_SCENARIOS = ("epr", "cpl", "ghz")
 
 KEYWORDS = {
     "scenario", "system", "agent", "observer", "prepare", "basis",
@@ -67,8 +70,11 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    event_index: int | None
+    event_index: int | None  # None for a declaration
     reason: str
+
+    def __str__(self) -> str:
+        return self.reason if self.event_index is None else f"event {self.event_index}: {self.reason}"
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +202,26 @@ def record_key(agent: str, record: str) -> str:
     return f"{agent}.{record}"
 
 
+def bundled_scenario_text(name: str) -> str:
+    """Source text of a bundled scenario file ("epr", "cpl", or "ghz")."""
+    if name not in BUNDLED_SCENARIOS:
+        raise ValueError(f"unknown bundled scenario {name!r}; choose from {BUNDLED_SCENARIOS}")
+    return resources.files(__package__).joinpath("scenarios", f"{name}.wfs").read_text(encoding="utf-8")
+
+
 def pointer_cells(n: int, dim: int) -> tuple[str, ...]:
     """Labels of the pointer states past a writer's n outcomes in a record of dimension dim."""
     return tuple(f"cell{j}" for j in range(n, dim))
+
+
+def _declaration_problem(kind: str, dim: int, init: int = 0) -> str | None:
+    """Why the kernel would reject a system or record of dimension ``dim``
+    (a record starting in pointer state ``init``), or None."""
+    if dim < 2:
+        return f"{kind} dimension must be >= 2, got {dim}"
+    if not 0 <= init < dim:
+        return f"init index {init} out of range for dimension {dim}"
+    return None
 
 
 def _state_literal_problem(state: StateExpr, target_dim: int | None = None) -> str | None:
@@ -206,11 +229,11 @@ def _state_literal_problem(state: StateExpr, target_dim: int | None = None) -> s
     length on a target space of ``target_dim``), or None."""
     if isinstance(state, SchmidtState):
         norm = state.c0 * state.c0 + state.c1 * state.c1
-        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
+        if not abs(norm - 1.0) <= qcore.DEFAULT_ATOL:
             return f"unnormalized state literal: schmidt amplitudes square-sum to {norm!r}"
     elif isinstance(state, RawState):
         norm = sum(abs(a) ** 2 for a in state.amplitudes)
-        if abs(norm - 1.0) > qcore.DEFAULT_ATOL:
+        if not abs(norm - 1.0) <= qcore.DEFAULT_ATOL:
             return f"unnormalized state literal: squared norm is {norm!r}"
         if target_dim is not None and len(state.amplitudes) != target_dim:
             return f"dimension mismatch: {len(state.amplitudes)} amplitudes for a target space of dimension {target_dim}"
@@ -230,7 +253,7 @@ def _basis_decl_problem(b: BasisDecl) -> str | None:
     for i, vi in enumerate(b.vectors):
         for j, vj in enumerate(b.vectors):
             ip = sum(x.conjugate() * y for x, y in zip(vi, vj))
-            if abs(ip - (1.0 if i == j else 0.0)) > qcore.DEFAULT_ATOL:
+            if not abs(ip - (1.0 if i == j else 0.0)) <= qcore.DEFAULT_ATOL:
                 return f"basis {b.name!r} vectors are not orthonormal (rows {i} and {j})"
     return None
 
@@ -444,8 +467,8 @@ def _parse_system(cur: _Cursor, st: _ParseState) -> None:
     name = cur.take_ident("system identifier")
     _check_fresh(cur, st, name)
     dim = cur.take_int("dimension")
-    if dim < 2:
-        raise cur.err(f"system dimension must be >= 2, got {dim}")
+    if problem := _declaration_problem("system", dim):
+        raise cur.err(problem)
     cur.end()
     st.systems.append((name, dim))
 
@@ -460,12 +483,12 @@ def _parse_agent(cur: _Cursor, st: _ParseState) -> None:
         if any(r.name == rec for r in records):
             raise cur.err(f"duplicate declaration of {record_key(name, rec)!r}")
         dim = cur.take_int("dimension")
-        if dim < 2:
-            raise cur.err(f"record dimension must be >= 2, got {dim}")
+        if problem := _declaration_problem("record", dim):
+            raise cur.err(problem)
         cur.take("init")
         init = cur.take_int("init index")
-        if not 0 <= init < dim:
-            raise cur.err(f"init index {init} out of range for dimension {dim}")
+        if problem := _declaration_problem("record", dim, init):
+            raise cur.err(problem)
         records.append(RecordDecl(rec, dim, init))
     if not records:
         raise cur.err("an agent needs at least one record")
@@ -791,13 +814,16 @@ def validate(s: Scenario) -> list[Diagnostic]:
     system_ids = {sid for sid, _ in s.systems}
     dims: dict[str, int] = dict(s.systems)
     record_decls: dict[str, RecordDecl] = {}
-    record_owner: dict[str, str] = {}
+    for sid, dim in s.systems:
+        if problem := _declaration_problem("system", dim):
+            out.append(Diagnostic(None, f"declaration of {sid!r}: {problem}"))
     for a in s.agents:
         for r in a.records:
             key = record_key(a.name, r.name)
             record_decls[key] = r
-            record_owner[key] = a.name
             dims[key] = r.dim
+            if problem := _declaration_problem("record", r.dim, r.init):
+                out.append(Diagnostic(None, f"declaration of {key!r}: {problem}"))
     observer_names = {o.name for o in s.observers}
     agent_names = {a.name for a in s.agents}
     # reported where a basis is used; an unused declaration never reaches the kernel

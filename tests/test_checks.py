@@ -78,6 +78,8 @@ read bob record alice.A result rb
             checks.cpl_probability_check([1, 0], 2)
         with pytest.raises(ValueError, match="at least two"):
             checks.cpl_probability_check([1.0], 0)
+        with pytest.raises(ValueError, match="normalized"):
+            checks.cpl_probability_check([math.nan, 1.0], 0)
 
 
 class TestEprCorrelationCheck:
@@ -115,6 +117,8 @@ class TestEprCorrelationCheck:
             checks.epr_correlation_check([0.6, 0.7])
         with pytest.raises(ValueError, match="exactly two"):
             checks.epr_correlation_check([1.0])
+        with pytest.raises(ValueError, match="normalized"):
+            checks.epr_correlation_check([math.nan, 1.0])
 
 
 class TestGhzCheck:

@@ -375,6 +375,9 @@ class TestCheckCommand:
         (("check", "cpl", "--c", "0.3,0.700000005"), "check cpl: coefficients are not normalized"),
         # a probability of 1e-15 lies below the engine's PROB_EPS
         (("check", "epr", "--c", "1e-15,0.999999999999999"), "check epr: degenerate preparation"),
+        (("check", "cpl", "--c", "nan,1"), "check cpl: probabilities must be finite"),
+        (("check", "epr", "--c", "nan,1"), "check epr: probabilities must be finite"),
+        (("check", "epr", "--c", "inf,0"), "check epr: probabilities must be finite"),
     ])
     def test_bad_parameters_message(self, capsys, args, fragment):
         code, out, err = invoke(capsys, *args)

@@ -610,6 +610,7 @@ interact a on S basis basis1 record R
             it.run(sc.parse(text), it.RuleSet.rqm5(), seed=0)
 
     SKEW = sc.BasisDecl("skew", 2, (0, 1), ((1 + 0j, 0j), (0.6 + 0j, 0.8 + 0j)))
+    NAN_BASIS = sc.BasisDecl("nan", 2, (0, 1), ((complex("nan"), 0j), (0j, 1 + 0j)))
     QUBIT = sc.RawState((1 + 0j, 0j))
 
     # literals built in code, as library callers build them: the parser
@@ -621,7 +622,12 @@ interact a on S basis basis1 record R
         ((), (sc.Prepare(sc.SchmidtState(0.3, 0.4), ("S", "T")),), 0, "unnormalized state literal"),
         ((SKEW,), (sc.Prepare(QUBIT, ("S",)), sc.Interact("a", ("S",), sc.NamedBasis("skew"), "R")), 1,
          "basis 'skew' vectors are not orthonormal (rows 0 and 1)"),
-    ], ids=["raw_length", "raw_norm", "schmidt_norm", "basis_not_orthonormal"])
+        # NaN fails every tolerance test
+        ((), (sc.Prepare(sc.RawState((complex("nan"), 1 + 0j)), ("S",)),), 0, "unnormalized state literal"),
+        ((), (sc.Prepare(sc.SchmidtState(math.nan, 1.0), ("S", "T")),), 0, "unnormalized state literal"),
+        ((NAN_BASIS,), (sc.Prepare(QUBIT, ("S",)), sc.Interact("a", ("S",), sc.NamedBasis("nan"), "R")), 1,
+         "basis 'nan' vectors are not orthonormal (rows 0 and 0)"),
+    ], ids=["raw_length", "raw_norm", "schmidt_norm", "basis_not_orthonormal", "raw_nan", "schmidt_nan", "basis_nan"])
     def test_kernel_rejected_literals_do_not_validate(self, bases, timeline, index, fragment):
         s = sc.Scenario("lit", (("S", 2), ("T", 2)), (sc.AgentDecl("a", (sc.RecordDecl("R", 2, 0),)),),
                         (), bases, timeline)
@@ -630,6 +636,22 @@ interact a on S basis basis1 record R
         assert fragment in diags[0].reason
         with pytest.raises(ValueError, match="does not validate"):
             it.exact_joint(s, it.RuleSet.rqm5())
+
+    # declarations built in code: a bad init index used to raise a bare
+    # IndexError while compiling, a dimension-1 system a kernel error
+    @pytest.mark.parametrize("systems,record,reason", [
+        ((("S", 2),), sc.RecordDecl("R", 2, 5),
+         "declaration of 'a.R': init index 5 out of range for dimension 2"),
+        ((("S", 2),), sc.RecordDecl("R", 1, 0), "declaration of 'a.R': record dimension must be >= 2, got 1"),
+        ((("S", 1),), sc.RecordDecl("R", 2, 0), "declaration of 'S': system dimension must be >= 2, got 1"),
+    ], ids=["record_init", "record_dim", "system_dim"])
+    def test_bad_declarations_do_not_validate(self, systems, record, reason):
+        s = sc.Scenario("decl", systems, (sc.AgentDecl("a", (record,)),), (), (),
+                        (sc.Prepare(sc.RawState((1 + 0j,) + (0j,) * (systems[0][1] - 1)), ("S",)),))
+        assert sc.validate(s) == [sc.Diagnostic(None, reason)]
+        with pytest.raises(ValueError) as info:
+            it.exact_joint(s, it.RuleSet.rqm5())
+        assert str(info.value) == f"scenario 'decl' does not validate: {reason}"
 
     def test_unused_bad_basis_declaration_validates(self):
         s = sc.Scenario("lit", (("S", 2),), (), (), (self.SKEW,), (sc.Prepare(self.QUBIT, ("S",)),))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -198,6 +200,40 @@ def test_product_basis_label_order():
     )
     assert joint.targets == (("a", 2), ("b", 2), ("c", 2))
     assert np.array_equal(joint.vectors, np.eye(8))
+
+
+def _per_row_kron(bases):
+    rows = []
+    for factors in itertools.product(*(b.vectors for b in bases)):
+        vec = np.ones(1, dtype=complex)
+        for row in factors:
+            vec = np.kron(vec, row)
+        rows.append(vec)
+    return np.array(rows)
+
+
+def test_product_basis_non_identity_factors():
+    # unequal dimensions 2, 3 and 4, none of them the identity
+    ladder = qc.qubit_ladder_basis(("q", 2), 2)
+    w = np.exp(2j * np.pi / 3)
+    fourier = qc.BasisSpec((("t", 3),), np.array([[w ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3),
+                           ("f0", "f1", "f2"))
+    lifted = qc.lifted_basis(qc.qubit_ladder_basis(("s", 2), 2), qc.qubit_ladder_basis(("s", 2), 1), ("r", 2))
+    for bases in ([ladder, fourier, lifted], [lifted, ladder], [fourier]):
+        joint = qc.product_basis(bases)
+        assert np.array_equal(joint.vectors, _per_row_kron(bases))
+        assert joint.labels == tuple(itertools.product(*(b.labels for b in bases)))
+        assert joint.targets == tuple(t for b in bases for t in b.targets)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: qc.StateVector(qc.SpaceLayout((("a", 2),)), [np.nan, 1]), "unnormalized input state"),
+    (lambda: qc.Unitary(qc.SpaceLayout((("a", 2),)), [[np.nan, 0], [0, 1]]), "not unitary"),
+    (lambda: qc.BasisSpec((("a", 2),), [[np.nan, 0], [0, 1]], (0, 1)), "not orthonormal"),
+], ids=["state", "unitary", "basis"])
+def test_nan_fails_constructor_tolerance(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_product_basis_rejects_overlapping_targets():
