@@ -25,14 +25,20 @@ commute there, once), the relative facts it draws, and its outcome steps
 in event order.  The rules decide those once per event: under
 ``orthodox`` an interaction is an outcome step that projects onto its
 record's pointer, under ``rqm5``/``cpl`` it draws a relative fact, and
-only under ``cpl`` does a default readout step carry a pin.  A run is
-then a tree of branches, each carrying only what one history fixes: the
-global state (projected only by collapsing steps), one chronological
-sequence of outcomes (each agent's record fact under its record key,
-each outside result under its result name), the pins applied, and a
-weight equal to the joint probability of that history.  Every group
-expands through one routine and one loop of outcome steps, a single
-event being a group of one.
+only under ``cpl`` does a default readout step carry a pin.  Every
+history draws the same outcomes in the same order (a group's relative
+facts, then its steps), so the plan also fixes the outcome slots: each
+outcome's key (its record key for an agent fact, its result name for an
+outside result), the slots of each draw's pool facts and of each pin's
+record, and the permutation that puts a history's labels in
+``outcome_keys`` order.  A run is then a tree of branches, each carrying
+only what one history fixes: the global state (projected only by
+collapsing steps), the labels drawn so far in slot order, the pins
+applied, and a weight equal to the joint probability of that history.
+Every group expands through one routine and one loop of outcome steps, a
+single event being a group of one.  The tree is walked depth first,
+children in expansion order, so each leaf goes straight to its consumer
+and leaves come in the order a breadth-first expansion lists them.
 
 The global state is kept factored: ``StateVector`` factors over
 disjoint sets of subsystems, one per subsystem at the start, held in a
@@ -59,19 +65,28 @@ collapsed since; otherwise enumeration raises
 anomaly notes for its sampled history only.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
-enumerate every branch exactly (capped at ``BRANCH_LIMIT``), and
-``perspective`` reconstructs the state a named observer faces at a
-point in the timeline.
+enumerate every branch exactly, and ``perspective`` reconstructs the
+state a named observer faces at a point in the timeline.  Enumeration is
+refused before any branch is expanded when the plan's leaf bound exceeds
+``BRANCH_LIMIT``: the product, over every outcome, of the labels it can
+reach.  A relative fact or a default readout reaches its record's writer
+labels (pointer cells only once an event has measured the record in
+another basis), a pinned readout one label, any other step every label
+of its basis.  Pruning of zero-probability outcomes is not foreseen, so
+a scenario whose bound exceeds the limit is refused even when its real
+leaf count would not.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -91,7 +106,7 @@ class ConcurrencyError(ValueError):
 
 
 class TooManyBranchesError(RuntimeError):
-    """Exact enumeration would exceed BRANCH_LIMIT branches."""
+    """The plan's leaf bound exceeds BRANCH_LIMIT, so exact enumeration is refused."""
 
 
 @dataclass(frozen=True)
@@ -211,8 +226,10 @@ class _Group:
     """One event group as the branch engine expands it under the plan's rules."""
 
     dynamics: tuple[Union[_CPrepare, _CInteract], ...]  # all act before any outcome is drawn
-    draws: tuple[_CInteract, ...]  # relative facts, rqm5/cpl only
-    steps: tuple[_CMeasure, ...]  # outcome steps in event order
+    # relative facts, rqm5/cpl only, each with the (slot, record key) of
+    # every fact from an earlier group held in its pool
+    draws: tuple[tuple[_CInteract, tuple[tuple[int, str], ...]], ...]
+    steps: tuple[tuple[_CMeasure, int | None], ...]  # outcome steps in event order, each with the slot its pin reads
 
 
 @dataclass(frozen=True)
@@ -227,6 +244,9 @@ class _Compiled:
     writers: dict[str, _CInteract]  # record key -> the interaction that writes it
     intact_records: frozenset[str]  # written records no later event measures or reads
     rejoined: frozenset[int]  # collapsing events whose targets a later event joins with others
+    slots: tuple[str, ...]  # outcome keys in the order every branch draws them
+    point_order: tuple[int, ...] | None  # slots in outcome_keys order; None when that is slot order
+    leaf_bound: int  # product over outcomes of the labels each can reach
 
 
 def _state_amplitudes(expr: sc.StateExpr) -> np.ndarray:
@@ -276,6 +296,11 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     writers: dict[str, _CInteract] = {}
     events: list[_CEvent] = []
     grouped: list[tuple[_CEvent, ...]] = []
+    # the labels a pointer readout of each record can reach: the writer's
+    # labels, premeasured from the init pointer, until an event measures the
+    # record in another basis; pointer cells can then get weight too
+    reach: dict[str, int] = {}
+    leaf_bound = 1
     for i, ev in enumerate(s.timeline):
         if isinstance(ev, sc.DeclarePartition):
             # takes effect for later events; validation keeps it out of groups
@@ -294,14 +319,22 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
                 (key, dims[key]), labels=bspec.labels + sc.pointer_cells(len(bspec.labels), dims[key]))
             pool = pools.get(ev.agent, frozenset((ev.agent,)))
             cev = writers[key] = _CInteract(i, ev.agent, key, "+".join(ev.targets), u, readout, pool)
+            leaf_bound *= reach.setdefault(key, len(bspec.labels))
         elif isinstance(ev, sc.Measure):
             targets = tuple((t, dims[t]) for t in ev.targets)
             cev = _CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result, None)
+            leaf_bound *= len(cev.spec.labels)
+            reach.update((t, dims[t]) for t in ev.targets if t in record_init)
         else:
             key = sc.record_key(ev.agent, ev.record)
             spec = writers[key].readout if ev.basis is None else _basis_spec(s, ev.basis, ((key, dims[key]),))
             pin = key if ev.basis is None and rules.kind == "cpl" else None
             cev = _CMeasure(i, ev.observer, spec, ev.result, pin)
+            if ev.basis is not None:
+                leaf_bound *= len(spec.labels)
+                reach[key] = dims[key]
+            elif pin is None:
+                leaf_bound *= reach[key]
         events.append(cev)
         if getattr(ev, "concurrent", False):
             grouped[-1] += (cev,)
@@ -309,6 +342,9 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             grouped.append((cev,))
     collapse = rules.kind == "orthodox"
     groups: list[_Group] = []
+    # every branch draws the same outcomes in the same order, a group's
+    # relative facts and then its steps; validation keeps the keys distinct
+    slots: list[str] = []
     for evs in grouped:
         if len(evs) > 1:
             _check_commuting(layout, evs)
@@ -320,7 +356,15 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             _CMeasure(ev.index, ev.agent, ev.readout, ev.record, None) if isinstance(ev, _CInteract) else ev
             for ev in evs if isinstance(ev, _CMeasure) or (collapse and isinstance(ev, _CInteract))
         )
-        groups.append(_Group(dynamics, draws, steps))
+        # each conditional sees the facts of earlier groups only
+        earlier = [(at, key) for at, key in enumerate(slots) if key in writers]
+        slots += [ev.record for ev in draws] + [step.result for step in steps]
+        groups.append(_Group(
+            dynamics,
+            tuple((ev, tuple((at, key) for at, key in earlier if writers[key].agent in ev.pool)) for ev in draws),
+            tuple((step, None if step.pin is None else slots.index(step.pin)) for step in steps),
+        ))
+    point_order = tuple(slots.index(key) for key in outcome_keys(s))
 
     # a fact can condition its holder's perspective only while the record
     # subsystem stays untouched by stable events after its write
@@ -340,7 +384,8 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             if support & targets and support - targets:
                 rejoined.add(ev.index)
     return _Compiled(s, rules, layout, order, initial, tuple(events), tuple(groups), writers,
-                     frozenset(intact), frozenset(rejoined))
+                     frozenset(intact), frozenset(rejoined), tuple(slots),
+                     None if point_order == tuple(range(len(slots))) else point_order, leaf_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +399,9 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
 _State = tuple[qcore.StateVector, ...]
 
 
-class _Branch(NamedTuple):
-    state: _State
-    weight: float
-    # (outcome key, label) in the order drawn: record keys for facts, result
-    # names for measurements and readouts; the two never collide, as result
-    # names are identifiers and record keys contain a dot
-    outcomes: tuple[tuple[str, Label], ...] = ()
-    pins: tuple[PinRecord, ...] = ()
+# (state, weight, labels, pins): the labels of the outcomes drawn so far,
+# one per plan slot, and the pins applied
+_Branch = tuple[_State, float, tuple[Label, ...], tuple[PinRecord, ...]]
 
 
 def _product(state: _State, order: dict[str, int]) -> qcore.StateVector:
@@ -494,10 +534,11 @@ def _fact_distribution(comp: _Compiled, factor: qcore.StateVector, ev: _CInterac
     return [(label, p) for label, p in dist.items() if p > qcore.PROB_EPS]
 
 
-def _pinned_child(memo: dict, comp: _Compiled, ev: _CMeasure, branch: _Branch) -> _Branch:
-    value = next(v for k, v in branch.outcomes if k == ev.pin)
-    record, state = _shared(memo, branch.state, ("pin", ev.index, value), _pinned, memo, comp, branch.state, ev, value)
-    return _Branch(state, branch.weight, branch.outcomes + ((ev.result, value),), branch.pins + (record,))
+def _pinned_child(memo: dict, comp: _Compiled, ev: _CMeasure, at: int, branch: _Branch) -> _Branch:
+    state, weight, labels, pins = branch
+    value = labels[at]
+    record, state = _shared(memo, state, ("pin", ev.index, value), _pinned, memo, comp, state, ev, value)
+    return state, weight, labels + (value,), pins + (record,)
 
 
 def _pinned(memo: dict, comp: _Compiled, state: _State, ev: _CMeasure, value: Label) -> tuple[PinRecord, _State]:
@@ -560,51 +601,52 @@ def _check_commuting(layout: qcore.SpaceLayout, evs: tuple[_CEvent, ...]) -> Non
 
 
 def _expand_group(comp: _Compiled, group: _Group, branch: _Branch, memo: dict) -> list[_Branch]:
+    state, weight, labels, pins = branch
     # dynamics first: all unitaries act before any outcome is drawn
-    state = branch.state
     if group.dynamics:
         state = _shared(memo, state, ("evolve",), _evolve, memo, comp, state, group)
-    children = [_Branch(state, branch.weight, branch.outcomes, branch.pins)]
+    children = [(state, weight, labels, pins)]
     # simultaneous facts: each conditional sees pre-group facts only
-    for ev in group.draws:
-        facts = tuple(
-            (k, v) for k, v in branch.outcomes if k in comp.writers and comp.writers[k].agent in ev.pool
-        )
+    for ev, pool in group.draws:
+        facts = tuple((key, labels[at]) for at, key in pool)
         dist = _shared(memo, state, ("conditioned", ev.index, facts), _conditioned, memo, comp, state, ev, facts)
-        children = [
-            _Branch(child.state, child.weight * p, child.outcomes + ((ev.record, label),), child.pins)
-            for child in children for label, p in dist
-        ]
-    for step in group.steps:
-        if step.pin is not None:
-            children = [_pinned_child(memo, comp, step, child) for child in children]
+        children = [(s, w * p, ls + (label,), ps) for s, w, ls, ps in children for label, p in dist]
+    for step, at in group.steps:
+        if at is not None:
+            children = [_pinned_child(memo, comp, step, at, child) for child in children]
         else:
             children = [
-                _Branch(projected, child.weight * p, child.outcomes + ((step.result, label),), child.pins)
-                for child in children
-                for label, p, projected in _shared(memo, child.state, ("split", step.index),
-                                                   _split, memo, comp, child.state, step)
+                (projected, w * p, ls + (label,), ps)
+                for s, w, ls, ps in children
+                for label, p, projected in _shared(memo, s, ("split", step.index), _split, memo, comp, s, step)
             ]
     return children
 
 
-def _execute(comp: _Compiled, chooser=None) -> list[_Branch]:
-    """Expand the branch tree; with a chooser, follow a single sampled path."""
-    branches = [_Branch(state=comp.initial, weight=1.0)]
-    for group in comp.groups:
-        memo: dict = {}  # step results per state node and kernel work per factor, shared by this group's branches
-        new: list[_Branch] = []
-        for b in branches:
-            children = _expand_group(comp, group, b, memo)
-            if chooser is not None:
-                children = [chooser(b, children)]
-            new.extend(children)
-            if len(new) > BRANCH_LIMIT:
-                raise TooManyBranchesError(
-                    f"scenario {comp.scenario.name!r} exceeds {BRANCH_LIMIT} branches"
-                )
-        branches = new
-    return branches
+def _walk(comp: _Compiled, chooser=None) -> Iterator[_Branch]:
+    """The leaves of the branch tree, depth first.  Children are visited in
+    the order a group expands them, so the leaves come in the order of a
+    breadth-first expansion; each group keeps one memo for the whole walk.
+    With a chooser, follow a single sampled path; without one, refuse a plan
+    whose leaf bound exceeds ``BRANCH_LIMIT`` before expanding anything."""
+    if chooser is None and comp.leaf_bound > BRANCH_LIMIT:
+        raise TooManyBranchesError(f"scenario {comp.scenario.name!r} exceeds {BRANCH_LIMIT} branches")
+    depth = len(comp.groups)
+    if not depth:
+        yield comp.initial, 1.0, (), ()
+        return
+    # step results per state node and kernel work per factor, one memo per group
+    memos: list[dict] = [{} for _ in comp.groups]
+    stack: list[tuple[int, _Branch]] = [(0, (comp.initial, 1.0, (), ()))]
+    while stack:
+        g, branch = stack.pop()
+        children = _expand_group(comp, comp.groups[g], branch, memos[g])
+        if chooser is not None:
+            children = [chooser(children)]
+        if g + 1 == depth:
+            yield from children
+        else:
+            stack.extend((g + 1, child) for child in reversed(children))
 
 
 # ---------------------------------------------------------------------------
@@ -621,43 +663,44 @@ def _run(comp: _Compiled, seed: int) -> RunResult:
     s = comp.scenario
     rng = random.Random(seed)
 
-    def chooser(parent: _Branch, children: list[_Branch]) -> _Branch:
+    def chooser(children: list[_Branch]) -> _Branch:
         if len(children) == 1:
             return children[0]
-        total = sum(c.weight for c in children)
+        total = sum(weight for _, weight, _, _ in children)
         r = rng.random() * total
         acc = 0.0
         for c in children:
-            acc += c.weight
+            acc += c[1]  # the weight
             if r <= acc:
                 return c
         return children[-1]
 
-    leaf = _execute(comp, chooser)[0]
+    state, _, labels, pins = next(_walk(comp, chooser))
+    outcomes = tuple(zip(comp.slots, labels))
     memo: dict = {}
     perspectives = {
-        name: _branch_perspective(comp, leaf, name, memo)
+        name: _branch_perspective(comp, state, outcomes, name, memo)
         for name in _observer_names(s)
     }
     # the ledger and anomaly notes describe the sampled history only
     entries = tuple(
-        e for key, label in leaf.outcomes if key in comp.writers
+        e for key, label in outcomes if key in comp.writers
         for e in _fact_entries(comp.writers[key], label, comp.rules)
     )
     result_names = {ev.index: ev.result for ev in comp.events if isinstance(ev, _CMeasure)}
     anomalies = tuple(
         f"event {p.event_index}: cross-perspective link forces {result_names[p.event_index]}={p.value!r} "
         f"on record {p.record!r}, an outcome of probability {p.born_weight:.3g}"
-        for p in leaf.pins if p.anomalous
+        for p in pins if p.anomalous
     )
     return RunResult(
         scenario=s.name,
         rules=comp.rules,
         seed=seed,
-        results={key: label for key, label in leaf.outcomes if key not in comp.writers},
+        results={key: label for key, label in outcomes if key not in comp.writers},
         ledger=RelativeFactLedger(entries),
         perspectives=perspectives,
-        pins=leaf.pins,
+        pins=pins,
         anomalies=anomalies,
     )
 
@@ -666,16 +709,19 @@ def _observer_names(s: sc.Scenario) -> list[str]:
     return [a.name for a in s.agents] + [o.name for o in s.observers]
 
 
-def _agent_view(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> tuple[_State, list[tuple[str, Label]]]:
-    """The branch state conditioned on the intact facts ``name`` holds, and those
-    facts; branches that share a state node and those facts share one view."""
+def _agent_view(
+    comp: _Compiled, node: _State, outcomes: tuple[tuple[str, Label], ...], name: str, memo: dict,
+) -> tuple[_State, list[tuple[str, Label]]]:
+    """A branch state conditioned on the intact facts ``name`` holds among the
+    branch's (outcome key, label) pairs, and those facts; branches that share
+    a state node and those facts share one view."""
     held = [
-        (key, value) for key, value in branch.outcomes
+        (key, value) for key, value in outcomes
         if key in comp.intact_records and comp.writers[key].agent == name
     ]
 
     def view():
-        state = branch.state
+        state = node
         for key, value in held:
             readout = comp.writers[key].readout
             factor = _touch(memo, comp, state, readout.target_ids)
@@ -689,13 +735,15 @@ def _agent_view(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> tupl
                 pass
         return state
 
-    return _shared(memo, branch.state, ("view", tuple(held)), view), held
+    return _shared(memo, node, ("view", tuple(held)), view), held
 
 
-def _branch_perspective(comp: _Compiled, branch: _Branch, name: str, memo: dict) -> PerspectiveState:
-    state, knowledge = _agent_view(comp, branch, name, memo)
+def _branch_perspective(
+    comp: _Compiled, node: _State, outcomes: tuple[tuple[str, Label], ...], name: str, memo: dict,
+) -> PerspectiveState:
+    state, knowledge = _agent_view(comp, node, outcomes, name, memo)
     own_results = {ev.result for ev in comp.events if isinstance(ev, _CMeasure) and ev.observer == name}
-    for key, value in branch.outcomes:
+    for key, value in outcomes:
         if key in own_results:
             knowledge.append((key, value))
     dense = _shared(memo, state, ("dense",), _product, state, comp.order)
@@ -720,12 +768,14 @@ def exact_joint(s: sc.Scenario, rules: RuleSet) -> dict[tuple[Label, ...], float
 
 
 def _exact_joint(comp: _Compiled) -> dict[tuple[Label, ...], float]:
-    keys = outcome_keys(comp.scenario)
+    # a row is a leaf's labels in outcome_keys order; the plan holds that order
+    # as a permutation of the slots (of at least two, else it is the identity)
+    point = None if comp.point_order is None else operator.itemgetter(*comp.point_order)
     out: dict[tuple[Label, ...], float] = {}
-    for leaf in _execute(comp):
-        values = dict(leaf.outcomes)
-        point = tuple(values[k] for k in keys)
-        out[point] = out.get(point, 0.0) + leaf.weight
+    for _, weight, labels, _ in _walk(comp):
+        if point is not None:
+            labels = point(labels)
+        out[labels] = out.get(labels, 0.0) + weight
     return out
 
 
@@ -808,20 +858,22 @@ def perspective(
     tcomp = _compile(truncated, rules)
 
     given = dict(given or {})
-    kept: list[_Branch] = []
+    kept: list[tuple[_State, float, tuple[tuple[str, Label], ...]]] = []
     known: list[dict[str, Label]] = []  # each kept leaf's outcomes
-    for leaf in _execute(tcomp):
-        values = dict(leaf.outcomes)
+    for state, weight, labels, _ in _walk(tcomp):
+        outcomes = tuple(zip(tcomp.slots, labels))
+        values = dict(outcomes)
         if any(values.get(k) != v for k, v in given.items()):
             continue
-        kept.append(leaf)
+        kept.append((state, weight, outcomes))
         known.append(values)
-    total = sum(b.weight for b in kept)
+    total = sum(weight for _, weight, _ in kept)
     if not kept or total <= qcore.PROB_EPS:
         raise ValueError(f"no branch is compatible with {given!r}")
 
     memo: dict = {}
-    states = [(b.weight / total, _agent_view(tcomp, b, observer, memo)[0]) for b in kept]
+    states = [(weight / total, _agent_view(tcomp, state, outcomes, observer, memo)[0])
+              for state, weight, outcomes in kept]
     payload = _mixture(tcomp, states)
     knowledge = _common_knowledge(known, tcomp, observer, given)
     return PerspectiveState(observer, payload, knowledge)

@@ -356,7 +356,7 @@ class TestCheckCommand:
     def test_bad_parameters_exit_1(self, capsys):
         cases = [
             ("check", "cpl", "--c", "0.5,0.6", "--ra", "0"),   # unnormalized
-            ("check", "cpl", "--c", "-0.3,1.3"),               # negative entry
+            ("check", "cpl", "--c=-0.3,1.3"),                  # negative entry
             ("check", "cpl", "--c", "0.3,0.7", "--ra", "9"),   # index range
             ("check", "ghz", "--c", "0.3,0.7"),                # no state params
             ("check", "epr", "--ra", "1"),                     # cpl-only flag
@@ -378,6 +378,8 @@ class TestCheckCommand:
         (("check", "cpl", "--c", "nan,1"), "check cpl: probabilities must be finite"),
         (("check", "epr", "--c", "nan,1"), "check epr: probabilities must be finite"),
         (("check", "epr", "--c", "inf,0"), "check epr: probabilities must be finite"),
+        # the = form keeps argparse from reading the value as an option
+        (("check", "cpl", "--c=-0.3,1.3"), "check cpl: probabilities must be nonnegative"),
     ])
     def test_bad_parameters_message(self, capsys, args, fragment):
         code, out, err = invoke(capsys, *args)

@@ -555,6 +555,90 @@ class TestChain:
         it.exact_joint(_chain(self.PROBS), it.RuleSet.rqm5())
         assert len(calls) <= 2 * (2 ** 4 - 1)
 
+    def test_leaf_bound_refuses_before_any_kernel_call(self, monkeypatch):
+        # 4^10 leaves exceed BRANCH_LIMIT; the plan's bound says so before
+        # any branch is expanded, while a sampled run follows one path
+        s = _chain((self.PROBS8 + (0.25, 0.65))[:10])
+        dims = _recording(monkeypatch, "project", "born_distribution", "apply_local")
+        with pytest.raises(it.TooManyBranchesError, match="exceeds 1000000 branches"):
+            it.exact_joint(s, it.RuleSet.rqm5())
+        assert dims == []
+        assert len(it.run(s, it.RuleSet.rqm5(), seed=3).results) == 10
+
+    def test_rows_come_in_product_order(self):
+        # every outcome is reachable, and the leaves come with the first
+        # outcome key varying slowest
+        s = _chain(self.PROBS[:3])
+        joint = it.exact_joint(s, it.RuleSet.rqm5())
+        assert list(joint) == list(itertools.product((0, 1), repeat=len(it.outcome_keys(s))))
+
+
+SLOTS = """scenario slots
+system S1 2
+system S2 2
+agent alice record A 2 init 0
+observer bob
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.8+0i, 0.6+0i] on S2
+measure bob on S1 basis basis1 result m
+interact alice on S2 basis basis1 record A concurrent
+read bob record alice.A result ra
+"""
+
+
+@pytest.mark.parametrize("kind", it.RULE_KINDS)
+def test_rows_keyed_in_outcome_keys_order(kind):
+    # a group draws its relative facts before its steps, so under rqm5/cpl
+    # alice.A is drawn before m; rows are still keyed (m, alice.A, ra)
+    s = sc.parse(SLOTS)
+    assert it.outcome_keys(s) == ("m", "alice.A", "ra")
+    pm, pa = (0.36, 0.64), (0.64, 0.36)
+    if kind == "orthodox":  # the interaction collapses in event order
+        drawn = [(m, a) for m in (0, 1) for a in (0, 1)]
+    else:
+        drawn = [(m, a) for a in (0, 1) for m in (0, 1)]
+    want = {}
+    for m, a in drawn:
+        # the stable readout is Born distributed over the pointer under rqm5
+        for r in (0, 1) if kind == "rqm5" else (a,):
+            want[(m, a, r)] = pm[m] * pa[a] * (pa[r] if kind == "rqm5" else 1.0)
+    joint = it.exact_joint(s, it.RuleSet(kind))
+    assert list(joint) == list(want)
+    for point, p in want.items():
+        assert joint[point] == pytest.approx(p, abs=1e-12)
+
+
+# a qubit premeasured into a qutrit record: pointer cell "cell2" is unused
+# until a readout in the Fourier basis f3 moves the record off its writer
+# pointers
+CELLS = """scenario cells
+system S 2
+agent alice record A 3 init 0
+observer bob
+basis f3 on 3 labels x, y, z vectors \
+[0.5773502691896258+0i, 0.5773502691896258+0i, 0.5773502691896258+0i] ; \
+[0.5773502691896258+0i, -0.28867513459481287+0.5i, -0.28867513459481287-0.5i] ; \
+[0.5773502691896258+0i, -0.28867513459481287-0.5i, -0.28867513459481287+0.5i]
+prepare state [0.6+0i, 0.8+0i] on S
+interact alice on S basis basis1 record A
+{mid}read bob record alice.A result rd
+"""
+
+
+@pytest.mark.parametrize("mid,leaves", [("", 4), ("read bob record alice.A basis f3 result rf\n", 18)])
+def test_leaf_bound_counts_pointer_cells_once_reachable(mid, leaves, monkeypatch):
+    # every counted label is reachable here, so the bound equals the leaf count
+    s = sc.parse(CELLS.format(mid=mid))
+    rules = it.RuleSet.rqm5()
+    joint = it.exact_joint(s, rules)
+    assert len(joint) == leaves
+    assert any("cell2" in point for point in joint) == bool(mid)
+    monkeypatch.setattr(it, "BRANCH_LIMIT", leaves)
+    assert it.exact_joint(s, rules) == joint
+    monkeypatch.setattr(it, "BRANCH_LIMIT", leaves - 1)
+    with pytest.raises(it.TooManyBranchesError):
+        it.exact_joint(s, rules)
+
 
 def _marginal(joint, keys, result, conditioning):
     total, dist = 0.0, {}
