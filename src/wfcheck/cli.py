@@ -19,11 +19,10 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
 from . import __version__, checks
 from . import interpret as it
-from . import qcore
 from . import scenario as sc
 
 EXIT_OK = 0
@@ -148,15 +147,15 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
         "scenario": scenario.name,
         "rules": {"kind": rules.kind, "fact_holder": rules.fact_holder},
         "tolerance": args.tolerance,
-        "outcomes": {k: _plain(v) for k, v in sorted(result.results.items())},
+        "outcomes": dict(sorted(result.results.items())),
         "ledger": [
             {"event": e.event_index, "agent": e.agent,
-             "observable": e.observable, "outcome": _plain(e.outcome)}
+             "observable": e.observable, "outcome": e.outcome}
             for e in result.ledger.entries
         ],
         "pins": [
             {"event": p.event_index, "observer": p.observer, "record": p.record,
-             "value": _plain(p.value), "born_weight": p.born_weight,
+             "value": p.value, "born_weight": p.born_weight,
              "flagged": bool(p.anomalous or p.born_weight <= args.tolerance)}
             for p in result.pins
         ],
@@ -221,21 +220,6 @@ def _parse_probabilities(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # payload construction
 
-Label = qcore.Label
-
-
-def _plain(value: Any) -> Union[int, float, str]:
-    """Coerce a label or numpy scalar to a JSON-safe builtin."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if hasattr(value, "item"):
-        return _plain(value.item())
-    return str(value)
-
 
 def _sort_key(outcome: Sequence[Any]):
     return tuple(
@@ -248,7 +232,7 @@ def _table_payload(keys: tuple[str, ...], table: dict, value_name: str,
                    counts: dict | None = None) -> dict[str, Any]:
     rows = []
     for outcome in sorted(table, key=_sort_key):
-        row = {"outcome": [_plain(v) for v in outcome], value_name: float(table[outcome])}
+        row = {"outcome": list(outcome), value_name: float(table[outcome])}
         if counts is not None:
             row["count"] = int(counts[outcome])
         rows.append(row)
@@ -259,7 +243,7 @@ def _perspective_payload(ps: it.PerspectiveState) -> dict[str, Any]:
     # a run's perspectives are those of one sampled branch: always vectors
     state = ps.state
     return {
-        "knowledge": {k: _plain(v) for k, v in sorted(ps.knowledge)},
+        "knowledge": dict(sorted(ps.knowledge)),
         "subsystems": [[name, dim] for name, dim in state.layout.subsystems],
         "kind": "vector",
         "amplitudes": [[z.real, z.imag] for z in state.amplitudes],

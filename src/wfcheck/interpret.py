@@ -71,7 +71,9 @@ refused before any branch is expanded when the plan's leaf bound exceeds
 ``BRANCH_LIMIT``: the product, over every outcome, of the labels it can
 reach.  A relative fact or a default readout reaches its record's writer
 labels (pointer cells only once an event has measured the record in
-another basis), a pinned readout one label, any other step every label
+another basis).  A pinned readout reaches one label, and so does a
+default readout of a record that an ``orthodox`` collapse or an earlier
+default readout left on one pointer.  Any other step reaches every label
 of its basis.  Pruning of zero-probability outcomes is not foreseen, so
 a scenario whose bound exceeds the limit is refused even when its real
 leaf count would not.
@@ -300,6 +302,9 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     # labels, premeasured from the init pointer, until an event measures the
     # record in another basis; pointer cells can then get weight too
     reach: dict[str, int] = {}
+    # records a collapse left on one pointer, where a default readout has one
+    # outcome, until an event measures them in another basis
+    fixed: set[str] = set()
     leaf_bound = 1
     for i, ev in enumerate(s.timeline):
         if isinstance(ev, sc.DeclarePartition):
@@ -320,11 +325,14 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             pool = pools.get(ev.agent, frozenset((ev.agent,)))
             cev = writers[key] = _CInteract(i, ev.agent, key, "+".join(ev.targets), u, readout, pool)
             leaf_bound *= reach.setdefault(key, len(bspec.labels))
+            if rules.kind == "orthodox":
+                fixed.add(key)
         elif isinstance(ev, sc.Measure):
             targets = tuple((t, dims[t]) for t in ev.targets)
             cev = _CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result, None)
             leaf_bound *= len(cev.spec.labels)
             reach.update((t, dims[t]) for t in ev.targets if t in record_init)
+            fixed.difference_update(ev.targets)
         else:
             key = sc.record_key(ev.agent, ev.record)
             spec = writers[key].readout if ev.basis is None else _basis_spec(s, ev.basis, ((key, dims[key]),))
@@ -333,8 +341,11 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             if ev.basis is not None:
                 leaf_bound *= len(spec.labels)
                 reach[key] = dims[key]
-            elif pin is None:
-                leaf_bound *= reach[key]
+                fixed.discard(key)
+            else:
+                if pin is None and key not in fixed:
+                    leaf_bound *= reach[key]
+                fixed.add(key)
         events.append(cev)
         if getattr(ev, "concurrent", False):
             grouped[-1] += (cev,)

@@ -38,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Union
+from typing import NoReturn, Union
 
 from . import qcore
 
@@ -51,12 +51,6 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(rf"^{_NUM}$")
 
 BUNDLED_SCENARIOS = ("epr", "cpl", "ghz")
-
-KEYWORDS = {
-    "scenario", "system", "agent", "observer", "prepare", "basis",
-    "interact", "measure", "read", "partition",
-}
-
 
 class ScenarioError(ValueError):
     """Parse failure with source position."""
@@ -214,6 +208,9 @@ def pointer_cells(n: int, dim: int) -> tuple[str, ...]:
     return tuple(f"cell{j}" for j in range(n, dim))
 
 
+_CELL_RE = re.compile(r"cell(0|[1-9][0-9]*)")  # a pointer_cells label and its index
+
+
 def _declaration_problem(kind: str, dim: int, init: int = 0) -> str | None:
     """Why the kernel would reject a system or record of dimension ``dim``
     (a record starting in pointer state ``init``), or None."""
@@ -224,6 +221,14 @@ def _declaration_problem(kind: str, dim: int, init: int = 0) -> str | None:
     return None
 
 
+def _or_inf(compute) -> float:
+    """``compute()``, or inf where a float in it overflows."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
+
+
 def _state_literal_problem(state: StateExpr, target_dim: int | None = None) -> str | None:
     """Why the kernel would reject a state literal (its norm, or a raw list's
     length on a target space of ``target_dim``), or None."""
@@ -232,7 +237,7 @@ def _state_literal_problem(state: StateExpr, target_dim: int | None = None) -> s
         if not abs(norm - 1.0) <= qcore.DEFAULT_ATOL:
             return f"unnormalized state literal: schmidt amplitudes square-sum to {norm!r}"
     elif isinstance(state, RawState):
-        norm = sum(abs(a) ** 2 for a in state.amplitudes)
+        norm = _or_inf(lambda: sum(abs(a) ** 2 for a in state.amplitudes))
         if not abs(norm - 1.0) <= qcore.DEFAULT_ATOL:
             return f"unnormalized state literal: squared norm is {norm!r}"
         if target_dim is not None and len(state.amplitudes) != target_dim:
@@ -253,7 +258,7 @@ def _basis_decl_problem(b: BasisDecl) -> str | None:
     for i, vi in enumerate(b.vectors):
         for j, vj in enumerate(b.vectors):
             ip = sum(x.conjugate() * y for x, y in zip(vi, vj))
-            if not abs(ip - (1.0 if i == j else 0.0)) <= qcore.DEFAULT_ATOL:
+            if not _or_inf(lambda: abs(ip - (1.0 if i == j else 0.0))) <= qcore.DEFAULT_ATOL:
                 return f"basis {b.name!r} vectors are not orthonormal (rows {i} and {j})"
     return None
 
@@ -307,6 +312,11 @@ class _Cursor:
         )
         return ScenarioError(message, self.line_no, col)
 
+    def reject(self, message: str) -> NoReturn:
+        """Raise ``message`` at the token just taken."""
+        self.pos -= 1
+        raise self.err(message)
+
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
@@ -322,33 +332,24 @@ class _Cursor:
         self.pos += 1
         return tok
 
-    def take_ident(self, what: str = "identifier") -> str:
+    def take_match(self, pattern: re.Pattern, what: str) -> re.Match:
         tok = self.take(None)
-        if not _IDENT_RE.match(tok):
-            self.pos -= 1
-            raise self.err(f"expected {what}, found {tok!r}")
-        return tok
+        m = pattern.match(tok)
+        if m is None:
+            self.reject(f"expected {what}, found {tok!r}")
+        return m
+
+    def take_ident(self, what: str = "identifier") -> str:
+        return self.take_match(_IDENT_RE, what).group()
 
     def take_int(self, what: str = "integer") -> int:
-        tok = self.take(None)
-        if not _INT_RE.match(tok):
-            self.pos -= 1
-            raise self.err(f"expected {what}, found {tok!r}")
-        return int(tok)
+        return int(self.take_match(_INT_RE, what).group())
 
     def take_float(self, what: str = "number") -> float:
-        tok = self.take(None)
-        if not _FLOAT_RE.match(tok):
-            self.pos -= 1
-            raise self.err(f"expected {what}, found {tok!r}")
-        return float(tok)
+        return float(self.take_match(_FLOAT_RE, what).group())
 
     def take_complex(self) -> complex:
-        tok = self.take(None)
-        m = _COMPLEX_RE.match(tok)
-        if m is None:
-            self.pos -= 1
-            raise self.err(f"expected complex literal like 0.5+0.5i, found {tok!r}")
+        m = self.take_match(_COMPLEX_RE, "complex literal like 0.5+0.5i")
         if m.group("only_re") is not None:
             return complex(float(m.group("only_re")), 0.0)
         if m.group("only_im") is not None:
@@ -362,47 +363,47 @@ class _Cursor:
 
 
 # ---------------------------------------------------------------------------
+# declarations
+
+
+class _Names:
+    """A scenario's declarations by name: systems and records (by record
+    key) with their dimensions, agents, observers and bases, plus the set of
+    every declared name.  The parser fills it line by line; ``validate``
+    builds it from a :class:`Scenario`."""
+
+    def __init__(self) -> None:
+        self.systems: dict[str, int] = {}
+        self.records: dict[str, RecordDecl] = {}
+        self.agents: dict[str, AgentDecl] = {}
+        self.observers: dict[str, ObserverDecl] = {}
+        self.bases: dict[str, BasisDecl] = {}
+        self.declared: set[str] = set()
+
+    def claim(self, name: str) -> str | None:
+        """Declare ``name``; why it cannot be, if it is already declared."""
+        if name in self.declared:
+            return f"duplicate declaration of {name!r}"
+        self.declared.add(name)
+        return None
+
+    def dim(self, target: str) -> int | None:
+        """Dimension of a declared system or record key, or None."""
+        if target in self.systems:
+            return self.systems[target]
+        decl = self.records.get(target)
+        return None if decl is None else decl.dim
+
+
+# ---------------------------------------------------------------------------
 # parser
 
 
-class _ParseState:
+class _ParseState(_Names):
     def __init__(self) -> None:
+        super().__init__()
         self.name: str | None = None
-        self.systems: list[tuple[str, int]] = []
-        self.agents: list[AgentDecl] = []
-        self.observers: list[ObserverDecl] = []
-        self.bases: list[BasisDecl] = []
         self.timeline: list[Event] = []
-
-    def known_ids(self) -> set[str]:
-        out = {sid for sid, _ in self.systems}
-        out |= {a.name for a in self.agents}
-        out |= {o.name for o in self.observers}
-        out |= {b.name for b in self.bases}
-        for a in self.agents:
-            out |= {record_key(a.name, r.name) for r in a.records}
-        return out
-
-    def system_dim(self, sid: str) -> int | None:
-        for name, dim in self.systems:
-            if name == sid:
-                return dim
-        return None
-
-    def record_decl(self, agent: str, record: str) -> RecordDecl | None:
-        for a in self.agents:
-            if a.name == agent:
-                for r in a.records:
-                    if r.name == record:
-                        return r
-        return None
-
-    def target_dim(self, target: str) -> int | None:
-        if "." in target:
-            agent, _, rec = target.partition(".")
-            decl = self.record_decl(agent, rec)
-            return decl.dim if decl else None
-        return self.system_dim(target)
 
 
 def parse(text: str) -> Scenario:
@@ -414,46 +415,29 @@ def parse(text: str) -> Scenario:
             continue
         cur = _Cursor(tokens, line_no)
         keyword = cur.take()
-        if keyword not in KEYWORDS:
-            cur.pos -= 1
-            raise cur.err(f"unknown keyword {keyword!r}")
+        statement = _STATEMENTS.get(keyword)
+        if statement is None:
+            cur.reject(f"unknown keyword {keyword!r}")
         if st.name is None and keyword != "scenario":
             raise ScenarioError("no scenario declared", line_no, tokens[0].column)
-        if keyword == "scenario":
-            _parse_scenario(cur, st)
-        elif keyword == "system":
-            _parse_system(cur, st)
-        elif keyword == "agent":
-            _parse_agent(cur, st)
-        elif keyword == "observer":
-            _parse_observer(cur, st)
-        elif keyword == "basis":
-            _parse_basis_decl(cur, st)
-        elif keyword == "prepare":
-            st.timeline.append(_parse_prepare(cur, st))
-        elif keyword == "interact":
-            st.timeline.append(_parse_interact(cur, st))
-        elif keyword == "measure":
-            st.timeline.append(_parse_measure(cur, st))
-        elif keyword == "read":
-            st.timeline.append(_parse_read(cur, st))
-        elif keyword == "partition":
-            st.timeline.append(_parse_partition(cur, st))
+        event = statement(cur, st)
+        if event is not None:
+            st.timeline.append(event)
     if st.name is None:
         raise ScenarioError("no scenario declared", 1, 1)
     return Scenario(
         name=st.name,
-        systems=tuple(st.systems),
-        agents=tuple(st.agents),
-        observers=tuple(st.observers),
-        bases=tuple(st.bases),
+        systems=tuple(st.systems.items()),
+        agents=tuple(st.agents.values()),
+        observers=tuple(st.observers.values()),
+        bases=tuple(st.bases.values()),
         timeline=tuple(st.timeline),
     )
 
 
-def _check_fresh(cur: _Cursor, st: _ParseState, name: str) -> None:
-    if name in st.known_ids():
-        raise cur.err(f"duplicate declaration of {name!r}")
+def _claim(cur: _Cursor, st: _ParseState, name: str) -> None:
+    if problem := st.claim(name):
+        raise cur.err(problem)
 
 
 def _parse_scenario(cur: _Cursor, st: _ParseState) -> None:
@@ -465,23 +449,23 @@ def _parse_scenario(cur: _Cursor, st: _ParseState) -> None:
 
 def _parse_system(cur: _Cursor, st: _ParseState) -> None:
     name = cur.take_ident("system identifier")
-    _check_fresh(cur, st, name)
+    _claim(cur, st, name)
     dim = cur.take_int("dimension")
     if problem := _declaration_problem("system", dim):
         raise cur.err(problem)
     cur.end()
-    st.systems.append((name, dim))
+    st.systems[name] = dim
 
 
 def _parse_agent(cur: _Cursor, st: _ParseState) -> None:
     name = cur.take_ident("agent name")
-    _check_fresh(cur, st, name)
+    _claim(cur, st, name)
     records: list[RecordDecl] = []
     while not cur.at_end():
         cur.take("record")
         rec = cur.take_ident("record identifier")
-        if any(r.name == rec for r in records):
-            raise cur.err(f"duplicate declaration of {record_key(name, rec)!r}")
+        key = record_key(name, rec)
+        _claim(cur, st, key)
         dim = cur.take_int("dimension")
         if problem := _declaration_problem("record", dim):
             raise cur.err(problem)
@@ -489,17 +473,18 @@ def _parse_agent(cur: _Cursor, st: _ParseState) -> None:
         init = cur.take_int("init index")
         if problem := _declaration_problem("record", dim, init):
             raise cur.err(problem)
-        records.append(RecordDecl(rec, dim, init))
+        st.records[key] = decl = RecordDecl(rec, dim, init)
+        records.append(decl)
     if not records:
         raise cur.err("an agent needs at least one record")
-    st.agents.append(AgentDecl(name, tuple(records)))
+    st.agents[name] = AgentDecl(name, tuple(records))
 
 
 def _parse_observer(cur: _Cursor, st: _ParseState) -> None:
     name = cur.take_ident("observer name")
-    _check_fresh(cur, st, name)
+    _claim(cur, st, name)
     cur.end()
-    st.observers.append(ObserverDecl(name))
+    st.observers[name] = ObserverDecl(name)
 
 
 def _parse_label(cur: _Cursor) -> Label:
@@ -513,7 +498,7 @@ def _parse_label(cur: _Cursor) -> Label:
 
 def _parse_basis_decl(cur: _Cursor, st: _ParseState) -> None:
     name = cur.take_ident("basis name")
-    _check_fresh(cur, st, name)
+    _claim(cur, st, name)
     if name in ("basis1", "basis2", "basis3", "lifted"):
         raise cur.err(f"basis name {name!r} collides with a built-in form")
     cur.take("on")
@@ -532,7 +517,7 @@ def _parse_basis_decl(cur: _Cursor, st: _ParseState) -> None:
     decl = BasisDecl(name, dim, tuple(labels), tuple(vectors))
     if problem := _basis_decl_problem(decl):
         raise cur.err(problem)
-    st.bases.append(decl)
+    st.bases[name] = decl
 
 
 def _parse_vector(cur: _Cursor) -> tuple[complex, ...]:
@@ -547,15 +532,8 @@ def _parse_vector(cur: _Cursor) -> tuple[complex, ...]:
 
 def _parse_target_name(cur: _Cursor, st: _ParseState) -> str:
     tok = cur.take(None)
-    if "." in tok:
-        agent, _, rec = tok.partition(".")
-        if st.record_decl(agent, rec) is None:
-            cur.pos -= 1
-            raise cur.err(f"unknown identifier {tok!r}")
-        return tok
-    if st.system_dim(tok) is None:
-        cur.pos -= 1
-        raise cur.err(f"unknown identifier {tok!r}")
+    if st.dim(tok) is None:
+        cur.reject(f"unknown identifier {tok!r}")
     return tok
 
 
@@ -584,8 +562,7 @@ def _parse_state_expr(cur: _Cursor) -> StateExpr:
     elif tok == "state":
         state = RawState(_parse_vector(cur))
     else:
-        cur.pos -= 1
-        raise cur.err(f"expected a state expression (ghz, schmidt(...), state [...]), found {tok!r}")
+        cur.reject(f"expected a state expression (ghz, schmidt(...), state [...]), found {tok!r}")
     if problem := _state_literal_problem(state):
         raise cur.err(problem)
     return state
@@ -602,10 +579,9 @@ def _parse_basis_expr(cur: _Cursor, st: _ParseState) -> BasisExpr:
         inner = _parse_basis_expr(cur, st)
         cur.take(")")
         return LiftedBasis(outer, inner)
-    if any(b.name == tok for b in st.bases):
-        return NamedBasis(tok)
-    cur.pos -= 1
-    raise cur.err(f"unknown identifier {tok!r} (expected a basis expression)")
+    if tok not in st.bases:
+        cur.reject(f"unknown identifier {tok!r} (expected a basis expression)")
+    return NamedBasis(tok)
 
 
 def _parse_prepare(cur: _Cursor, st: _ParseState) -> Prepare:
@@ -613,7 +589,7 @@ def _parse_prepare(cur: _Cursor, st: _ParseState) -> Prepare:
     cur.take("on")
     targets = _parse_target_list(cur, st)
     cur.end()
-    if problem := _state_literal_problem(state, math.prod(st.target_dim(t) or 1 for t in targets)):
+    if problem := _state_literal_problem(state, math.prod(st.dim(t) for t in targets)):
         raise cur.err(problem)
     return Prepare(state, targets)
 
@@ -625,30 +601,30 @@ def _take_concurrent(cur: _Cursor) -> bool:
     return False
 
 
+def _take_declared(cur: _Cursor, table: dict, what: str) -> str:
+    name = cur.take_ident(what)
+    if name not in table:
+        cur.reject(f"unknown identifier {name!r}")
+    return name
+
+
 def _parse_interact(cur: _Cursor, st: _ParseState) -> Interact:
-    agent = cur.take_ident("agent name")
-    if not any(a.name == agent for a in st.agents):
-        cur.pos -= 1
-        raise cur.err(f"unknown identifier {agent!r}")
+    agent = _take_declared(cur, st.agents, "agent name")
     cur.take("on")
     targets = _parse_target_list(cur, st)
     cur.take("basis")
     basis = _parse_basis_expr(cur, st)
     cur.take("record")
     rec = cur.take_ident("record identifier")
-    if st.record_decl(agent, rec) is None:
-        cur.pos -= 1
-        raise cur.err(f"unknown identifier {record_key(agent, rec)!r}")
+    if record_key(agent, rec) not in st.records:
+        cur.reject(f"unknown identifier {record_key(agent, rec)!r}")
     concurrent = _take_concurrent(cur)
     cur.end()
     return Interact(agent, targets, basis, rec, concurrent)
 
 
 def _parse_measure(cur: _Cursor, st: _ParseState) -> Measure:
-    observer = cur.take_ident("observer name")
-    if not any(o.name == observer for o in st.observers):
-        cur.pos -= 1
-        raise cur.err(f"unknown identifier {observer!r}")
+    observer = _take_declared(cur, st.observers, "observer name")
     cur.take("on")
     targets = _parse_target_list(cur, st)
     cur.take("basis")
@@ -661,16 +637,12 @@ def _parse_measure(cur: _Cursor, st: _ParseState) -> Measure:
 
 
 def _parse_read(cur: _Cursor, st: _ParseState) -> ReadRecord:
-    observer = cur.take_ident("observer name")
-    if not any(o.name == observer for o in st.observers):
-        cur.pos -= 1
-        raise cur.err(f"unknown identifier {observer!r}")
+    observer = _take_declared(cur, st.observers, "observer name")
     cur.take("record")
     qualified = cur.take(None)
-    agent, dot, rec = qualified.partition(".")
-    if not dot or st.record_decl(agent, rec) is None:
-        cur.pos -= 1
-        raise cur.err(f"unknown identifier {qualified!r} (expected agent.record)")
+    if qualified not in st.records:
+        cur.reject(f"unknown identifier {qualified!r} (expected agent.record)")
+    agent, _, rec = qualified.partition(".")
     basis: BasisExpr | None = None
     if cur.peek() == "basis":
         cur.take("basis")
@@ -698,6 +670,21 @@ def _parse_partition(cur: _Cursor, st: _ParseState) -> DeclarePartition:
     return DeclarePartition(name, tuple(groups))
 
 
+# statement keyword -> its parser; an event parser returns the event
+_STATEMENTS = {
+    "scenario": _parse_scenario,
+    "system": _parse_system,
+    "agent": _parse_agent,
+    "observer": _parse_observer,
+    "basis": _parse_basis_decl,
+    "prepare": _parse_prepare,
+    "interact": _parse_interact,
+    "measure": _parse_measure,
+    "read": _parse_read,
+    "partition": _parse_partition,
+}
+
+
 # ---------------------------------------------------------------------------
 # canonical printer
 
@@ -719,7 +706,8 @@ def _fmt_label(label: Label) -> str:
     if isinstance(label, int):
         return str(label)
     if isinstance(label, float):
-        return _fmt_float(label)
+        # the grammar has no inf literal; 1e999 overflows to inf
+        return _fmt_float(label) if math.isfinite(label) else ("-1e999" if label < 0 else "1e999")
     return label
 
 
@@ -781,7 +769,7 @@ def _fmt_event(ev: Event) -> str:
 # semantic validation
 
 
-def basis_expr_dim(s: Scenario, e: BasisExpr, target_dim: int) -> int | None:
+def _basis_dim(bases: dict[str, BasisDecl], e: BasisExpr, target_dim: int) -> int | None:
     """Dimension the expression resolves to on a target of ``target_dim``.
 
     Returns None when the expression cannot fit the target at all.
@@ -791,15 +779,13 @@ def basis_expr_dim(s: Scenario, e: BasisExpr, target_dim: int) -> int | None:
             return target_dim
         return 2  # basis3/basis2 are qubit bases
     if isinstance(e, LiftedBasis):
-        inner_dim = basis_expr_dim(s, e.inner, 2)
-        outer_dim = basis_expr_dim(s, e.outer, 2)
+        inner_dim = _basis_dim(bases, e.inner, 2)
+        outer_dim = _basis_dim(bases, e.outer, 2)
         if inner_dim != 2 or outer_dim != 2:
             return None
         return 4
-    for b in s.bases:
-        if b.name == e.name:
-            return b.dim
-    return None
+    b = bases.get(e.name)
+    return None if b is None else b.dim
 
 
 def _declared_names(e: BasisExpr) -> tuple[str, ...]:
@@ -811,23 +797,28 @@ def _declared_names(e: BasisExpr) -> tuple[str, ...]:
 def validate(s: Scenario) -> list[Diagnostic]:
     """Semantic diagnostics; an empty list means the scenario can run."""
     out: list[Diagnostic] = []
-    system_ids = {sid for sid, _ in s.systems}
-    dims: dict[str, int] = dict(s.systems)
-    record_decls: dict[str, RecordDecl] = {}
+    names = _Names()
+
+    def declare(table: dict, name: str, decl, problem: str | None = None) -> None:
+        # the first of two declarations of one name is the one looked up
+        if duplicate := names.claim(name):
+            out.append(Diagnostic(None, duplicate))
+        table.setdefault(name, decl)
+        if problem:
+            out.append(Diagnostic(None, f"declaration of {name!r}: {problem}"))
+
     for sid, dim in s.systems:
-        if problem := _declaration_problem("system", dim):
-            out.append(Diagnostic(None, f"declaration of {sid!r}: {problem}"))
+        declare(names.systems, sid, dim, _declaration_problem("system", dim))
     for a in s.agents:
+        declare(names.agents, a.name, a)
         for r in a.records:
-            key = record_key(a.name, r.name)
-            record_decls[key] = r
-            dims[key] = r.dim
-            if problem := _declaration_problem("record", r.dim, r.init):
-                out.append(Diagnostic(None, f"declaration of {key!r}: {problem}"))
-    observer_names = {o.name for o in s.observers}
-    agent_names = {a.name for a in s.agents}
+            declare(names.records, record_key(a.name, r.name), r, _declaration_problem("record", r.dim, r.init))
+    for o in s.observers:
+        declare(names.observers, o.name, o)
+    for b in s.bases:
+        declare(names.bases, b.name, b)
     # reported where a basis is used; an unused declaration never reaches the kernel
-    bad_bases = {b.name: problem for b in s.bases if (problem := _basis_decl_problem(b))}
+    bad_bases = {name: problem for name, b in names.bases.items() if (problem := _basis_decl_problem(b))}
 
     prepared: set[str] = set()
     touched: set[str] = set()
@@ -836,67 +827,59 @@ def validate(s: Scenario) -> list[Diagnostic]:
 
     def check_targets(i: int, targets: tuple[str, ...], allow_records: bool) -> None:
         for t in targets:
-            if t in system_ids:
+            if t in names.systems:
                 if t not in prepared:
                     out.append(Diagnostic(i, f"unprepared target {t!r}"))
-            elif t in record_decls:
+            elif t in names.records:
                 if not allow_records:
                     out.append(Diagnostic(i, f"interact target {t!r} must be a system"))
             else:
                 out.append(Diagnostic(i, f"unknown identifier {t!r}"))
 
     def target_space_dim(targets: tuple[str, ...]) -> int:
-        d = 1
-        for t in targets:
-            d *= dims.get(t, 1)
-        return d
-
-    def declared_labels(e: BasisExpr) -> tuple[Label, ...]:
-        # only declared bases can carry string labels such as "cell2"
-        if isinstance(e, NamedBasis):
-            for b in s.bases:
-                if b.name == e.name:
-                    return b.labels
-        return ()
+        return math.prod(d for t in targets if (d := names.dim(t)) is not None)
 
     def check_basis(i: int, e: BasisExpr, targets: tuple[str, ...]) -> None:
         for name in dict.fromkeys(_declared_names(e)):
             if name in bad_bases:
                 out.append(Diagnostic(i, bad_bases[name]))
         want = target_space_dim(targets)
-        got = basis_expr_dim(s, e, want)
+        got = _basis_dim(names.bases, e, want)
         if got is None or got != want:
             out.append(Diagnostic(i, f"basis/target mismatch: basis of dimension {got} on a target space of dimension {want}"))
-        elif isinstance(e, LiftedBasis) and (len(targets) != 2 or any(dims.get(t) != 2 for t in targets)):
+        elif isinstance(e, LiftedBasis) and (len(targets) != 2 or any(names.dim(t) != 2 for t in targets)):
             out.append(Diagnostic(i, f"lifted(...) needs a (system, record) pair of dimension-2 targets, got {', '.join(targets)}"))
 
     for i, ev in enumerate(s.timeline):
+        targets = getattr(ev, "targets", ())
+        if len(set(targets)) != len(targets):
+            out.append(Diagnostic(i, "repeated target"))
         if isinstance(ev, Prepare):
             for t in ev.targets:
-                if t in record_decls:
+                if t in names.records:
                     out.append(Diagnostic(i, f"prepare target {t!r} is a record; records start in their declared init state"))
-                elif t not in system_ids:
+                elif t not in names.systems:
                     out.append(Diagnostic(i, f"unknown identifier {t!r}"))
                 elif t in prepared:
                     out.append(Diagnostic(i, f"target {t!r} prepared twice"))
                 elif t in touched:
                     out.append(Diagnostic(i, f"prepare of {t!r} after it was already used"))
             if isinstance(ev.state, GhzState):
-                if len(ev.targets) != 3 or any(dims.get(t) != 2 for t in ev.targets):
+                if len(ev.targets) != 3 or any(names.dim(t) != 2 for t in ev.targets):
                     out.append(Diagnostic(i, "state/target mismatch: ghz needs three dimension-2 targets"))
             if isinstance(ev.state, SchmidtState):
-                if len(ev.targets) != 2 or len({dims.get(t) for t in ev.targets}) != 1 or dims.get(ev.targets[0]) != 2:
+                if len(ev.targets) != 2 or any(names.dim(t) != 2 for t in ev.targets):
                     out.append(Diagnostic(i, "state/target mismatch: schmidt(c0, c1) needs two dimension-2 targets"))
             if problem := _state_literal_problem(ev.state, target_space_dim(ev.targets)):
                 out.append(Diagnostic(i, problem))
-            prepared.update(t for t in ev.targets if t in system_ids)
+            prepared.update(t for t in ev.targets if t in names.systems)
         elif isinstance(ev, Interact):
-            if ev.agent not in agent_names:
+            if ev.agent not in names.agents:
                 out.append(Diagnostic(i, f"unknown agent {ev.agent!r}"))
             check_targets(i, ev.targets, allow_records=False)
             check_basis(i, ev.basis, ev.targets)
             key = record_key(ev.agent, ev.record)
-            decl = record_decls.get(key)
+            decl = names.records.get(key)
             if decl is None:
                 out.append(Diagnostic(i, f"unknown record {key!r}"))
             else:
@@ -905,16 +888,19 @@ def validate(s: Scenario) -> list[Diagnostic]:
                 need = target_space_dim(ev.targets)
                 if decl.dim < need:
                     out.append(Diagnostic(i, f"record too small: {key!r} has dimension {decl.dim} for {need} outcomes"))
-                labels = declared_labels(ev.basis)
-                cells = pointer_cells(len(labels), decl.dim)
+                # only declared bases can carry string labels such as "cell2";
+                # matched by index, as a record's dimension bounds no loop here
+                declared = names.bases.get(ev.basis.name) if isinstance(ev.basis, NamedBasis) else None
+                labels = () if declared is None else declared.labels
                 for label in labels:
-                    if label in cells:
+                    cell = _CELL_RE.fullmatch(label) if isinstance(label, str) else None
+                    if cell and len(labels) <= int(cell[1]) < decl.dim:
                         out.append(Diagnostic(i, f"basis label {label!r} collides with a pointer cell name of record {key!r}"))
             written.setdefault(key, i)
             touched.update(ev.targets)
             touched.add(key)
         elif isinstance(ev, Measure):
-            if ev.observer not in observer_names:
+            if ev.observer not in names.observers:
                 out.append(Diagnostic(i, f"unknown observer {ev.observer!r}"))
             check_targets(i, ev.targets, allow_records=True)
             check_basis(i, ev.basis, ev.targets)
@@ -923,14 +909,14 @@ def validate(s: Scenario) -> list[Diagnostic]:
             bound.add(ev.result)
             touched.update(ev.targets)
         elif isinstance(ev, ReadRecord):
-            if ev.observer not in observer_names:
+            if ev.observer not in names.observers:
                 out.append(Diagnostic(i, f"unknown observer {ev.observer!r}"))
             key = record_key(ev.agent, ev.record)
-            if key not in record_decls:
+            if key not in names.records:
                 out.append(Diagnostic(i, f"unknown record {key!r}"))
             elif key not in written:
                 out.append(Diagnostic(i, f"record never written: {key!r}"))
-            if ev.basis is not None and key in record_decls:
+            if ev.basis is not None and key in names.records:
                 check_basis(i, ev.basis, (key,))
             if ev.result in bound:
                 out.append(Diagnostic(i, f"result name {ev.result!r} bound twice"))
@@ -940,7 +926,7 @@ def validate(s: Scenario) -> list[Diagnostic]:
             seen: set[str] = set()
             for g in ev.groups:
                 for member in g:
-                    if member not in agent_names:
+                    if member not in names.agents:
                         out.append(Diagnostic(i, f"unknown agent in partition group: {member!r}"))
                     if member in seen:
                         out.append(Diagnostic(i, f"partition groups overlap on {member!r}"))

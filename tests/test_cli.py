@@ -91,6 +91,23 @@ read w record f2.A result r2
 read w record f3.A result r3
 """
 
+# a qubit written through a basis with a float and a string label into a
+# qutrit record; a Fourier readout then gives the record's cell2 pointer weight
+LABELS = """scenario labels
+system S 2
+agent alice record A 3 init 0
+observer bob
+basis tilt on 2 labels 0.5, up vectors [0.6+0i, 0.8+0i] ; [0.8+0i, -0.6+0i]
+basis f3 on 3 labels 2.5, y, z vectors \
+[0.5773502691896258+0i, 0.5773502691896258+0i, 0.5773502691896258+0i] ; \
+[0.5773502691896258+0i, -0.28867513459481287+0.5i, -0.28867513459481287-0.5i] ; \
+[0.5773502691896258+0i, -0.28867513459481287-0.5i, -0.28867513459481287+0.5i]
+prepare state [1+0i, 0+0i] on S
+interact alice on S basis tilt record A
+read bob record alice.A basis f3 result rf
+read bob record alice.A result rd
+"""
+
 
 def invoke(capsys, *args):
     code = cli.main(list(args))
@@ -225,6 +242,37 @@ class TestRunCommand:
             assert got[k] == pytest.approx(want[k], rel=1e-11, abs=1e-11)
         assert "samples 500" in text_out.splitlines()
         assert counts == want_counts and sum(counts.values()) == 500
+
+    @pytest.mark.parametrize("rules", ["orthodox", "rqm5"])
+    def test_float_and_string_labels_pass_through(self, capsys, tmp_path, rules):
+        path = tmp_path / "labels.wfs"
+        path.write_text(LABELS)
+        args = (str(path), "--rules", rules, "--seed", "2", "--samples", "300")
+        code, doc, _ = run_json(capsys, "run", *args, "--format", "json")
+        assert code == 0
+        result = doc["result"]
+        keys = result["exact"]["keys"]
+        assert keys == ["alice.A", "rf", "rd"]
+        seen = {key: {row["outcome"][i] for row in result["exact"]["rows"]} for i, key in enumerate(keys)}
+        assert seen == {"alice.A": {0.5, "up"}, "rf": {2.5, "y", "z"}, "rd": {0.5, "up", "cell2"}}
+        assert {type(v) for v in seen["rd"]} == {float, str}
+        assert result["outcomes"]["rf"] in seen["rf"] and result["outcomes"]["rd"] in seen["rd"]
+        assert all(e["outcome"] in seen["alice.A"] for e in result["ledger"])
+        # the text form prints each label as it is: 0.5, 2.5, up, cell2
+        code, text_out, _ = invoke(capsys, "run", *args)
+        assert code == 0
+        lines = text_out.splitlines()
+
+        def shown(kind, tail):
+            return [line.split()[1:-tail] for line in lines if line.startswith(kind + " ")]
+
+        def labelled(rows):
+            return [[f"{k}={v}" for k, v in zip(keys, row["outcome"])] for row in rows]
+
+        assert shown("joint", 2) == labelled(result["exact"]["rows"])
+        assert shown("sampled", 4) == labelled(result["sampled"]["rows"])
+        for name, value in result["outcomes"].items():
+            assert f"result {name} = {value}" in lines
 
     def test_pin_flag_threshold(self, capsys):
         base = ("run", str(SCENARIOS / "cpl.wfs"), "--rules", "cpl",

@@ -565,6 +565,14 @@ class TestChain:
         assert dims == []
         assert len(it.run(s, it.RuleSet.rqm5(), seed=3).results) == 10
 
+    def test_leaf_bound_counts_a_collapsed_record_once(self):
+        # each orthodox collapse leaves its record on one pointer, so each
+        # readout has one outcome: 2^10 leaves, not the 4^10 of rqm5
+        s = _chain((self.PROBS8 + (0.25, 0.65))[:10])
+        joint = it.exact_joint(s, it.RuleSet.orthodox())
+        assert len(joint) == 1024
+        assert all(point[:10] == point[10:] for point in joint)
+
     def test_rows_come_in_product_order(self):
         # every outcome is reachable, and the leaves come with the first
         # outcome key varying slowest
@@ -736,6 +744,35 @@ interact a on S basis basis1 record R
         with pytest.raises(ValueError) as info:
             it.exact_joint(s, it.RuleSet.rqm5())
         assert str(info.value) == f"scenario 'decl' does not validate: {reason}"
+
+    # names and targets built in code that the parser refuses: the kernel
+    # failed without naming an event, or the run went on with one of them
+    R = sc.RecordDecl("R", 2, 0)
+    IDENTITY = sc.BasisDecl("b", 2, (0, 1), ((1 + 0j, 0j), (0j, 1 + 0j)))
+    FLIPPED = sc.BasisDecl("b", 2, ("x", "y"), ((0j, 1 + 0j), (1 + 0j, 0j)))
+    MEASURE = sc.Measure("o", ("S",), sc.NamedBasis("b"), "m")
+
+    @pytest.mark.parametrize("systems,agents,observers,bases,timeline,want", [
+        ((("S", 2), ("S", 2)), (sc.AgentDecl("a", (R,)),), (), (), (sc.Prepare(QUBIT, ("S",)),),
+         sc.Diagnostic(None, "duplicate declaration of 'S'")),
+        ((("S", 2),), (sc.AgentDecl("a", (R, R)),), (), (), (sc.Prepare(QUBIT, ("S",)),),
+         sc.Diagnostic(None, "duplicate declaration of 'a.R'")),
+        ((("S", 2),), (), (sc.ObserverDecl("o"),), (IDENTITY, FLIPPED), (sc.Prepare(QUBIT, ("S",)), MEASURE),
+         sc.Diagnostic(None, "duplicate declaration of 'b'")),
+        ((("S", 2),), (sc.AgentDecl("o", (R,)),), (sc.ObserverDecl("o"),), (IDENTITY,),
+         (sc.Prepare(QUBIT, ("S",)), MEASURE), sc.Diagnostic(None, "duplicate declaration of 'o'")),
+        ((("S", 2),), (), (sc.ObserverDecl("o"),), (),
+         (sc.Prepare(QUBIT, ("S",)), sc.Measure("o", ("S", "S"), sc.PresetBasis("basis1"), "m")),
+         sc.Diagnostic(1, "repeated target")),
+        ((("S", 2),), (), (), (), (sc.Prepare(sc.SchmidtState(0.6, 0.8), ("S", "S")),),
+         sc.Diagnostic(0, "repeated target")),
+    ], ids=["two_systems", "two_records", "two_bases", "agent_and_observer", "measure_target", "prepare_target"])
+    def test_duplicates_do_not_validate(self, systems, agents, observers, bases, timeline, want):
+        s = sc.Scenario("dup", systems, agents, observers, bases, timeline)
+        assert sc.validate(s) == [want]
+        with pytest.raises(ValueError) as info:
+            it.exact_joint(s, it.RuleSet.rqm5())
+        assert str(info.value) == f"scenario 'dup' does not validate: {want}"
 
     def test_unused_bad_basis_declaration_validates(self):
         s = sc.Scenario("lit", (("S", 2),), (), (), (self.SKEW,), (sc.Prepare(self.QUBIT, ("S",)),))

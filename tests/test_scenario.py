@@ -2,8 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfcheck import scenario as sc
 
@@ -199,6 +202,22 @@ def test_error_position_exact():
     assert "line 2, column 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,message,line,column", [
+    ("scenario x\nsystem S 2\nprepare ghz x S\n", "expected 'on', found 'x'", 3, 13),
+    ("scenario x\nagent a record R 2 init 0 record R 2 init 0\n", "duplicate declaration of 'a.R'", 2, 36),
+    ("scenario x\nsystem S 2\nagent S record R 2 init 0\n", "duplicate declaration of 'S'", 3, 9),
+    ("scenario x\nagent a record R 2 init 0\npartition p\n", "partition needs at least one group", 3, 12),
+    ("scenario x\nsystem S\n", "unexpected end of line", 2, 9),
+    ("scenario x\nsystem S 2\nobserver o\nmeasure o on S, S basis basis1 result r\n", "repeated target", 4, 19),
+    ("scenario x\nsystem S 2\nprepare state [1, 0] on S, a.R\n", "unknown identifier 'a.R'", 3, 28),
+], ids=["take_expected", "record_twice", "agent_named_as_system", "empty_partition", "end_of_line",
+        "repeated_target", "unknown_record_target"])
+def test_error_positions(text, message, line, column):
+    with pytest.raises(sc.ScenarioError) as exc:
+        sc.parse(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
+
 def test_validate_clean_scenarios():
     assert sc.validate(sc.parse(EPR_TEXT)) == []
     assert sc.validate(sc.parse(GHZ_TEXT)) == []
@@ -261,6 +280,20 @@ def test_validate_pointer_cell_label_collision():
     assert sc.validate(sc.parse(text.format(labels="x, cell1"))) == []
 
 
+def test_validate_never_lists_pointer_cells(monkeypatch):
+    # a label is matched to a pointer cell by its index: listing the cells of
+    # a record of dimension 10**20 would exhaust memory
+    monkeypatch.setattr(sc, "pointer_cells", None)
+    text = (
+        "scenario v\nsystem S 2\nagent a record R 100000000000000000000 init 0\n"
+        "basis mine on 2 labels cell1, cell7 vectors [1, 0] ; [0, 1]\n"
+        "prepare state [1+0i, 0+0i] on S\n"
+        "interact a on S basis mine record R\n"
+    )
+    assert [str(d) for d in sc.validate(sc.parse(text))] == [
+        "event 1: basis label 'cell7' collides with a pointer cell name of record 'a.R'"]
+
+
 def test_validate_prepare_after_use():
     text = HEADER + "prepare state [1+0i, 0+0i] on S\nmeasure o on S basis basis1 result r\n"
     s = sc.parse(text)
@@ -309,3 +342,90 @@ def test_measure_record_target_allowed():
         "measure o on S, a.R basis lifted(basis2, basis3) result w\n"
     )
     assert sc.validate(sc.parse(text)) == []
+
+
+def test_overflowing_literals():
+    # an entry whose square or modulus overflows fails the norm test
+    for entry, column in (("1e200+0i", 29), ("1.5e308+1.5e308i", 37)):
+        with pytest.raises(sc.ScenarioError) as exc:
+            sc.parse(f"scenario x\nsystem S 2\nprepare state [{entry}, 0] on S\n")
+        assert (exc.value.message, exc.value.line, exc.value.column) == (
+            "unnormalized state literal: squared norm is inf", 3, column)
+    with pytest.raises(sc.ScenarioError, match="not orthonormal"):
+        sc.parse("scenario x\nbasis b on 2 labels 0, 1 vectors [1, 0] ; [1.5e308+1.5e308i, 0]\n")
+    # a label that overflows to inf prints as a literal that parses back to it
+    s = sc.parse("scenario x\nbasis b on 2 labels 1e999, -1e999 vectors [1, 0] ; [0, 1]\n")
+    assert s.bases[0].labels == (math.inf, -math.inf)
+    assert sc.parse(sc.dumps(s)) == s
+
+
+# the bundled files plus the statements they lack: a basis declaration, a
+# partition, a concurrent readout and a readout in a declared basis
+FUZZ_BASES = [sc.bundled_scenario_text(name) for name in sc.BUNDLED_SCENARIOS] + ["""scenario extra
+system S 3
+system T 2
+agent alice record A 3 init 0 record B 2 init 1
+observer bob
+basis tri on 3 labels 0, 2.5, up vectors [1+0i, 0+0i, 0+0i] ; [0+0i, 0.6+0.8i, 0+0i] ; [0+0i, 0+0i, -1i]
+prepare state [0.6+0i, 0+0.8i, 0] on S
+prepare state [1, 0] on T
+partition p group alice
+interact alice on S basis tri record A
+interact alice on T basis basis3 record B concurrent
+read bob record alice.A basis tri result ra
+measure bob on T, alice.B basis lifted(basis2, basis3) result rb
+read bob record alice.B result rc concurrent
+"""]
+FUZZ_TOKEN = r"[\[\](),;]|[^\s\[\](),;]+"
+# keywords and clause words, punctuation and the comment sign, and numbers of
+# every literal shape, overflowing ones included; names come from the base text
+FUZZ_WORDS = (
+    "scenario system agent observer prepare basis interact measure read partition "
+    "on record result init labels vectors group concurrent ghz schmidt state lifted "
+    "basis1 basis2 basis3 cell2 x alice.Z a.b.c"
+).split()
+FUZZ_PUNCTUATION = "[ ] ( ) , ; #".split()
+FUZZ_NUMBERS = (
+    "0 1 2 3 -1 +2 0.5 .5 1. 0.6 0.8 1e-1 2.5 1e200 1e999 -1e999 99999999999999999999 "
+    "0.6+0.8i 1+0i 0-1i 0.5i -0.5-0.5i 1e200+0i 1.5e308+1.5e308i 1e999i"
+).split()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_scenarios_parse_or_fail_cleanly(data):
+    # replace, insert or delete tokens, or copy, delete or swap lines: each
+    # text parses and round-trips, or fails with a position inside it
+    lines = data.draw(st.sampled_from(FUZZ_BASES)).splitlines()
+    names = sorted({t for line in lines for t in re.findall(FUZZ_TOKEN, line)})
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete", "copy line", "drop line", "swap lines"]))
+        if op == "copy line":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+        elif op == "drop line":
+            if len(lines) > 1:
+                del lines[i]
+        elif op == "swap lines":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = re.findall(FUZZ_TOKEN, lines[i])
+            k = data.draw(st.integers(0, len(tokens)))
+            word = data.draw(st.sampled_from((FUZZ_WORDS, FUZZ_PUNCTUATION, FUZZ_NUMBERS, names)).flatmap(st.sampled_from))
+            if op == "insert" or k == len(tokens):
+                tokens.insert(k, word)
+            elif op == "replace":
+                tokens[k] = word
+            else:
+                del tokens[k]
+            lines[i] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    try:
+        s = sc.parse(text)
+    except sc.ScenarioError as exc:
+        assert 1 <= exc.line <= len(lines)
+        assert exc.column >= 1
+    else:
+        assert isinstance(sc.validate(s), list)
+        assert sc.parse(sc.dumps(s)) == s
