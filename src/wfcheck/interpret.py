@@ -34,11 +34,25 @@ record, and the permutation that puts a history's labels in
 ``outcome_keys`` order.  A run is then a tree of branches, each carrying
 only what one history fixes: the global state (projected only by
 collapsing steps), the labels drawn so far in slot order, the pins
-applied, and a weight equal to the joint probability of that history.
+applied, and the probability of each outcome drawn, whose product in
+slot order is the branch's weight: the joint probability of its history.
 Every group expands through one routine and one loop of outcome steps, a
 single event being a group of one.  The tree is walked depth first,
 children in expansion order, so each leaf goes straight to its consumer
 and leaves come in the order a breadth-first expansion lists them.
+
+The plan is also split into independent blocks.  Subsystems and records
+join one block when an event acts on them together, a draw's pool holds
+their facts, or a concurrent group holds their events, so no outcome of
+one block depends on another block's (chain(n), n friends each copying
+their own system, is n blocks).  Each block keeps its groups, its slots
+and its own leaf bound.  ``exact_joint`` walks each block once, on its
+own, and combines the blocks' leaves: rows come in the single walk's
+order, lexicographic over the slots by the rank of each outcome among
+its siblings, and each row's weight multiplies its per-slot
+probabilities in slot order (a pin's is 1.0), so the table equals the
+one a walk over the whole plan folds, bit for bit.  ``run`` and
+``perspective`` walk the whole plan.
 
 The global state is kept factored: ``StateVector`` factors over
 disjoint sets of subsystems, one per subsystem at the start, held in a
@@ -69,7 +83,11 @@ enumerate every branch exactly, and ``perspective`` reconstructs the
 state a named observer faces at a point in the timeline.  Enumeration is
 refused before any branch is expanded when the plan's leaf bound exceeds
 ``BRANCH_LIMIT``: the product, over every outcome, of the labels it can
-reach.  A relative fact or a default readout reaches its record's writer
+reach.  Past that limit, ``predicted_distribution`` combines only the
+blocks that draw its result and its conditioning keys, and is refused
+only when the product of their bounds exceeds the limit; within it, the
+marginal is folded from the whole table, equal bit for bit to one folded
+from ``exact_joint``.  A relative fact or a default readout reaches its record's writer
 labels (pointer cells only once an event has measured the record in
 another basis).  A pinned readout reaches one label, and so does a
 default readout of a record that an ``orthodox`` collapse or an earlier
@@ -235,6 +253,16 @@ class _Group:
 
 
 @dataclass(frozen=True)
+class _Block:
+    """Groups that share no subsystem, record or pool with the rest of the
+    plan, so their outcomes are independent of every other block's."""
+
+    groups: tuple[_Group, ...]  # in plan order, pool and pin slots counted within the block
+    slots: tuple[int, ...]  # the plan slot of each of the block's outcomes, ascending
+    leaf_bound: int
+
+
+@dataclass(frozen=True)
 class _Compiled:
     scenario: sc.Scenario
     rules: RuleSet
@@ -249,6 +277,7 @@ class _Compiled:
     slots: tuple[str, ...]  # outcome keys in the order every branch draws them
     point_order: tuple[int, ...] | None  # slots in outcome_keys order; None when that is slot order
     leaf_bound: int  # product over outcomes of the labels each can reach
+    blocks: tuple[_Block, ...]  # the independent parts that draw outcomes, by first slot
 
 
 def _state_amplitudes(expr: sc.StateExpr) -> np.ndarray:
@@ -305,7 +334,10 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     # records a collapse left on one pointer, where a default readout has one
     # outcome, until an event measures them in another basis
     fixed: set[str] = set()
-    leaf_bound = 1
+    counts: dict[str, int] = {}  # outcome key -> the labels it can reach
+    # one premeasurement matrix per distinct (basis, record) shape; chain-like
+    # scenarios copy the same basis into records of one size many times
+    premeasured: dict[tuple, np.ndarray] = {}
     for i, ev in enumerate(s.timeline):
         if isinstance(ev, sc.DeclarePartition):
             # takes effect for later events; validation keeps it out of groups
@@ -319,18 +351,23 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             targets = tuple((t, dims[t]) for t in ev.targets)
             bspec = _basis_spec(s, ev.basis, targets)
             key = sc.record_key(ev.agent, ev.record)
-            u = qcore.build_premeasurement(bspec, (key, dims[key]), record_init[key])
+            record = (key, dims[key])
+            shape = (bspec.vectors.tobytes(), bspec.labels, tuple(d for _, d in bspec.targets), record[1], record_init[key])
+            matrix = premeasured.get(shape)
+            if matrix is None:
+                matrix = premeasured[shape] = qcore.build_premeasurement(bspec, record, record_init[key]).matrix
+            u = qcore.Unitary(qcore.SpaceLayout(tuple(bspec.targets) + (record,)), matrix)
             readout = qcore.computational_basis(
-                (key, dims[key]), labels=bspec.labels + sc.pointer_cells(len(bspec.labels), dims[key]))
+                record, labels=bspec.labels + sc.pointer_cells(len(bspec.labels), dims[key]))
             pool = pools.get(ev.agent, frozenset((ev.agent,)))
             cev = writers[key] = _CInteract(i, ev.agent, key, "+".join(ev.targets), u, readout, pool)
-            leaf_bound *= reach.setdefault(key, len(bspec.labels))
+            counts[key] = reach.setdefault(key, len(bspec.labels))
             if rules.kind == "orthodox":
                 fixed.add(key)
         elif isinstance(ev, sc.Measure):
             targets = tuple((t, dims[t]) for t in ev.targets)
             cev = _CMeasure(i, ev.observer, _basis_spec(s, ev.basis, targets), ev.result, None)
-            leaf_bound *= len(cev.spec.labels)
+            counts[ev.result] = len(cev.spec.labels)
             reach.update((t, dims[t]) for t in ev.targets if t in record_init)
             fixed.difference_update(ev.targets)
         else:
@@ -339,12 +376,11 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             pin = key if ev.basis is None and rules.kind == "cpl" else None
             cev = _CMeasure(i, ev.observer, spec, ev.result, pin)
             if ev.basis is not None:
-                leaf_bound *= len(spec.labels)
+                counts[ev.result] = len(spec.labels)
                 reach[key] = dims[key]
                 fixed.discard(key)
             else:
-                if pin is None and key not in fixed:
-                    leaf_bound *= reach[key]
+                counts[ev.result] = 1 if pin is not None or key in fixed else reach[key]
                 fixed.add(key)
         events.append(cev)
         if getattr(ev, "concurrent", False):
@@ -356,6 +392,7 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     # every branch draws the same outcomes in the same order, a group's
     # relative facts and then its steps; validation keeps the keys distinct
     slots: list[str] = []
+    spans: list[range] = []  # each group's slots
     for evs in grouped:
         if len(evs) > 1:
             _check_commuting(layout, evs)
@@ -369,6 +406,7 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
         )
         # each conditional sees the facts of earlier groups only
         earlier = [(at, key) for at, key in enumerate(slots) if key in writers]
+        spans.append(range(len(slots), len(slots) + len(draws) + len(steps)))
         slots += [ev.record for ev in draws] + [step.result for step in steps]
         groups.append(_Group(
             dynamics,
@@ -387,16 +425,59 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             intact.add(ev.record)
     # splitting measured targets off their factor gains nothing when a later
     # event merges them with other subsystems again
+    supports = [set(_support(ev)) for ev in events]
     rejoined = set()
     for i, ev in enumerate(events):
-        targets = set(ev.readout.target_ids if isinstance(ev, _CInteract) else _support(ev))
-        for later in events[i + 1:]:
-            support = set(_support(later))
-            if support & targets and support - targets:
-                rejoined.add(ev.index)
+        if isinstance(ev, _CPrepare):
+            continue
+        targets = set(ev.readout.target_ids) if isinstance(ev, _CInteract) else supports[i]
+        if any(support & targets and support - targets for support in supports[i + 1:]):
+            rejoined.add(ev.index)
     return _Compiled(s, rules, layout, order, initial, tuple(events), tuple(groups), writers,
                      frozenset(intact), frozenset(rejoined), tuple(slots),
-                     None if point_order == tuple(range(len(slots))) else point_order, leaf_bound)
+                     None if point_order == tuple(range(len(slots))) else point_order,
+                     prod(counts.values()), _blocks(layout.ids, groups, spans, [counts[key] for key in slots]))
+
+
+def _blocks(ids: tuple[str, ...], groups: list[_Group], spans: list[range], counts: list[int]) -> tuple[_Block, ...]:
+    """The plan's groups partitioned into independent blocks, keeping the
+    blocks that draw outcomes.  Subsystems and records join a block when one
+    event acts on them together, a draw's pool holds their facts, or a
+    concurrent group holds their events."""
+    parent = {sid: sid for sid in ids}
+
+    def find(sid: str) -> str:
+        while parent[sid] != sid:
+            parent[sid] = sid = parent[parent[sid]]
+        return sid
+
+    members: list[str | None] = []  # a subsystem of each group; None for a preparation on no target
+    for group in groups:
+        coupled = [sid for ev in group.dynamics for sid in _support(ev)]
+        coupled += [sid for step, _ in group.steps for sid in step.spec.target_ids]
+        coupled += [key for _, pool in group.draws for _, key in pool]
+        for sid in coupled[1:]:
+            parent[find(sid)] = find(coupled[0])
+        members.append(coupled[0] if coupled else None)
+    # one part per block that draws outcomes, in the order of its first slot
+    parts = {find(sid): [] for g, sid in enumerate(members) if spans[g]}
+    for g, sid in enumerate(members):
+        if sid is not None and (part := parts.get(find(sid))) is not None:
+            part.append(g)
+    blocks = []
+    for part in parts.values():
+        at = [slot for g in part for slot in spans[g]]
+        local = {slot: k for k, slot in enumerate(at)}
+        blocks.append(_Block(
+            tuple(_Group(
+                groups[g].dynamics,
+                tuple((ev, tuple((local[slot], key) for slot, key in pool)) for ev, pool in groups[g].draws),
+                tuple((step, None if slot is None else local[slot]) for step, slot in groups[g].steps),
+            ) for g in part),
+            tuple(at),
+            prod(counts[slot] for slot in at),
+        ))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +491,15 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
 _State = tuple[qcore.StateVector, ...]
 
 
-# (state, weight, labels, pins): the labels of the outcomes drawn so far,
-# one per plan slot, and the pins applied
-_Branch = tuple[_State, float, tuple[Label, ...], tuple[PinRecord, ...]]
+# (state, probs, labels, pins): the probability and the label of each outcome
+# drawn so far, one per slot (a pin's probability is 1.0), and the pins
+# applied.  The branch's weight, the joint probability of its history, is
+# prod(probs) taken in slot order.
+_Branch = tuple[_State, tuple[float, ...], tuple[Label, ...], tuple[PinRecord, ...]]
+
+
+def _weight(probs: tuple[float, ...]) -> float:
+    return prod(probs, start=1.0)
 
 
 def _product(state: _State, order: dict[str, int]) -> qcore.StateVector:
@@ -546,10 +633,10 @@ def _fact_distribution(comp: _Compiled, factor: qcore.StateVector, ev: _CInterac
 
 
 def _pinned_child(memo: dict, comp: _Compiled, ev: _CMeasure, at: int, branch: _Branch) -> _Branch:
-    state, weight, labels, pins = branch
+    state, probs, labels, pins = branch
     value = labels[at]
     record, state = _shared(memo, state, ("pin", ev.index, value), _pinned, memo, comp, state, ev, value)
-    return state, weight, labels + (value,), pins + (record,)
+    return state, probs + (1.0,), labels + (value,), pins + (record,)
 
 
 def _pinned(memo: dict, comp: _Compiled, state: _State, ev: _CMeasure, value: Label) -> tuple[PinRecord, _State]:
@@ -572,7 +659,7 @@ def _support(ev: _CEvent) -> tuple[str, ...]:
         return ev.unitary.layout.ids
     if isinstance(ev, _CMeasure):
         return ev.spec.target_ids
-    return ()
+    return ev.state.layout.ids
 
 
 def _operators(ev: _CEvent) -> list[tuple[np.ndarray, tuple[str, ...]]]:
@@ -612,46 +699,54 @@ def _check_commuting(layout: qcore.SpaceLayout, evs: tuple[_CEvent, ...]) -> Non
 
 
 def _expand_group(comp: _Compiled, group: _Group, branch: _Branch, memo: dict) -> list[_Branch]:
-    state, weight, labels, pins = branch
+    state, probs, labels, pins = branch
     # dynamics first: all unitaries act before any outcome is drawn
     if group.dynamics:
         state = _shared(memo, state, ("evolve",), _evolve, memo, comp, state, group)
-    children = [(state, weight, labels, pins)]
+    children = [(state, probs, labels, pins)]
     # simultaneous facts: each conditional sees pre-group facts only
     for ev, pool in group.draws:
         facts = tuple((key, labels[at]) for at, key in pool)
         dist = _shared(memo, state, ("conditioned", ev.index, facts), _conditioned, memo, comp, state, ev, facts)
-        children = [(s, w * p, ls + (label,), ps) for s, w, ls, ps in children for label, p in dist]
+        children = [(s, pr + (p,), ls + (label,), ps) for s, pr, ls, ps in children for label, p in dist]
     for step, at in group.steps:
         if at is not None:
             children = [_pinned_child(memo, comp, step, at, child) for child in children]
         else:
             children = [
-                (projected, w * p, ls + (label,), ps)
-                for s, w, ls, ps in children
+                (projected, pr + (p,), ls + (label,), ps)
+                for s, pr, ls, ps in children
                 for label, p, projected in _shared(memo, s, ("split", step.index), _split, memo, comp, s, step)
             ]
     return children
 
 
-def _walk(comp: _Compiled, chooser=None) -> Iterator[_Branch]:
-    """The leaves of the branch tree, depth first.  Children are visited in
-    the order a group expands them, so the leaves come in the order of a
-    breadth-first expansion; each group keeps one memo for the whole walk.
-    With a chooser, follow a single sampled path; without one, refuse a plan
-    whose leaf bound exceeds ``BRANCH_LIMIT`` before expanding anything."""
-    if chooser is None and comp.leaf_bound > BRANCH_LIMIT:
+def _refuse_over_limit(comp: _Compiled, leaf_bound: int) -> None:
+    if leaf_bound > BRANCH_LIMIT:
         raise TooManyBranchesError(f"scenario {comp.scenario.name!r} exceeds {BRANCH_LIMIT} branches")
-    depth = len(comp.groups)
+
+
+def _walk(comp: _Compiled, block: _Block | None = None, chooser=None) -> Iterator[_Branch]:
+    """The leaves of the branch tree of the whole plan, or of one block,
+    depth first.  Children are visited in the order a group expands them, so
+    the leaves come in the order of a breadth-first expansion; each group
+    keeps one memo for the whole walk.  With a chooser, follow a single
+    sampled path; without one, refuse a tree whose leaf bound exceeds
+    ``BRANCH_LIMIT`` before expanding anything."""
+    plan = comp if block is None else block
+    if chooser is None:
+        _refuse_over_limit(comp, plan.leaf_bound)
+    groups = plan.groups
+    depth = len(groups)
     if not depth:
-        yield comp.initial, 1.0, (), ()
+        yield comp.initial, (), (), ()
         return
     # step results per state node and kernel work per factor, one memo per group
-    memos: list[dict] = [{} for _ in comp.groups]
-    stack: list[tuple[int, _Branch]] = [(0, (comp.initial, 1.0, (), ()))]
+    memos: list[dict] = [{} for _ in groups]
+    stack: list[tuple[int, _Branch]] = [(0, (comp.initial, (), (), ()))]
     while stack:
         g, branch = stack.pop()
-        children = _expand_group(comp, comp.groups[g], branch, memos[g])
+        children = _expand_group(comp, groups[g], branch, memos[g])
         if chooser is not None:
             children = [chooser(children)]
         if g + 1 == depth:
@@ -677,16 +772,16 @@ def _run(comp: _Compiled, seed: int) -> RunResult:
     def chooser(children: list[_Branch]) -> _Branch:
         if len(children) == 1:
             return children[0]
-        total = sum(weight for _, weight, _, _ in children)
-        r = rng.random() * total
+        weights = [_weight(probs) for _, probs, _, _ in children]
+        r = rng.random() * sum(weights)
         acc = 0.0
-        for c in children:
-            acc += c[1]  # the weight
+        for c, weight in zip(children, weights):
+            acc += weight
             if r <= acc:
                 return c
         return children[-1]
 
-    state, _, labels, pins = next(_walk(comp, chooser))
+    state, _, labels, pins = next(_walk(comp, chooser=chooser))
     outcomes = tuple(zip(comp.slots, labels))
     memo: dict = {}
     perspectives = {
@@ -782,12 +877,84 @@ def _exact_joint(comp: _Compiled) -> dict[tuple[Label, ...], float]:
     # a row is a leaf's labels in outcome_keys order; the plan holds that order
     # as a permutation of the slots (of at least two, else it is the identity)
     point = None if comp.point_order is None else operator.itemgetter(*comp.point_order)
+    if len(comp.blocks) > 1:
+        return _combined(comp, comp.blocks, point)
     out: dict[tuple[Label, ...], float] = {}
-    for _, weight, labels, _ in _walk(comp):
+    for _, probs, labels, _ in _walk(comp):
         if point is not None:
             labels = point(labels)
-        out[labels] = out.get(labels, 0.0) + weight
+        out[labels] = out.get(labels, 0.0) + _weight(probs)
     return out
+
+
+def _combined(comp: _Compiled, blocks: tuple[_Block, ...], point=None) -> dict[tuple[Label, ...], float]:
+    """The table over the slots of ``blocks``, each block walked once.
+
+    Rows come in the single walk's order, lexicographic over the slots by
+    child rank, and each row's weight multiplies its per-slot probabilities
+    in slot order, so on every block the values and the order equal the
+    single walk's bit for bit.  A row is the labels in slot order, or
+    ``point`` of them."""
+    _refuse_over_limit(comp, prod(block.leaf_bound for block in blocks))
+    owner = sorted((at, b) for b, block in enumerate(blocks) for at in block.slots)
+    last = len(owner) - 1
+    # each slot's node in its block's tree along the current row, set when
+    # the row's previous slot of the same block is chosen
+    nodes: list = [None] * len(owner)
+    follow: list[int | None] = [None] * len(owner)  # the next slot of the same block
+    first: dict[int, int] = {}
+    for k in reversed(range(len(owner))):
+        b = owner[k][1]
+        follow[k] = first.get(b)
+        first[b] = k
+    for b, tree in enumerate(_trees(comp, blocks)):
+        nodes[first[b]] = tree
+    out: dict[tuple[Label, ...], float] = {}
+    stack: list = [(-1, None, (), 1.0)]  # (slot, node it leads to, labels, weight)
+    while stack:
+        k, node, labels, weight = stack.pop()
+        if k >= 0 and follow[k] is not None:
+            nodes[follow[k]] = node
+        if k + 1 < last:
+            stack.extend((k + 1, child, labels + (label,), weight * p) for label, p, child in reversed(nodes[k + 1]))
+            continue
+        for label, p, _ in nodes[last]:
+            row = labels + (label,)
+            out[row if point is None else point(row)] = weight * p
+    return out
+
+
+def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[list]:
+    """Each block's branch tree, one node per drawn outcome: a node lists its
+    children as (label, p, node), in the order the walk expands them."""
+    try:
+        leaves = [[(labels, probs) for _, probs, labels, _ in _walk(comp, block)] for block in blocks]
+    except ValueError as exc:
+        # the single walk over the whole plan meets the blocks' errors in its
+        # own order: raise the first it meets, when the plan's bound lets it run
+        if comp.leaf_bound <= BRANCH_LIMIT:
+            for _ in _walk(comp):
+                pass
+        raise exc
+    trees = []
+    for block_leaves in leaves:
+        root: list = []
+        path = [root]  # the nodes along the previous leaf
+        previous: tuple = ()
+        for labels, probs in block_leaves:
+            # sibling outcomes differ in their label, so the first label that
+            # differs from the previous leaf's is where this leaf branches off
+            d = 0
+            while d < len(previous) and labels[d] == previous[d]:
+                d += 1
+            del path[d + 1:]
+            for label, p in zip(labels[d:], probs[d:]):
+                node: list = []
+                path[-1].append((label, p, node))
+                path.append(node)
+            previous = labels
+        trees.append(root)
+    return trees
 
 
 def _conditional_marginal(
@@ -835,9 +1002,19 @@ def predicted_distribution(
             raise ValueError(f"conditioning on an unwritten record: {key!r}")
 
     _require_valid(s)
-    # every leaf is one row: sibling outcomes differ, so no two leaves share a point
-    joint = _exact_joint(_compile(s, rules))
-    return _conditional_marginal(joint, outcome_keys(s), result, conditioning)
+    comp = _compile(s, rules)
+    if comp.leaf_bound <= BRANCH_LIMIT or len(comp.blocks) < 2:
+        # a fold of the whole table, so the marginal equals one folded from
+        # exact_joint bit for bit: every leaf is one row, as sibling outcomes
+        # differ, and the rows come in the same order
+        return _conditional_marginal(_exact_joint(comp), outcome_keys(s), result, conditioning)
+    # past the limit, only the blocks that draw the result or a conditioning
+    # key, bounded by their own leaf bounds; their rows come in slot order,
+    # and each label first appears where it does in the whole table
+    wanted = {result, *conditioning}
+    blocks = tuple(block for block in comp.blocks if any(comp.slots[at] in wanted for at in block.slots))
+    keys = tuple(comp.slots[at] for at in sorted(at for block in blocks for at in block.slots))
+    return _conditional_marginal(_combined(comp, blocks), keys, result, conditioning)
 
 
 def perspective(
@@ -871,12 +1048,12 @@ def perspective(
     given = dict(given or {})
     kept: list[tuple[_State, float, tuple[tuple[str, Label], ...]]] = []
     known: list[dict[str, Label]] = []  # each kept leaf's outcomes
-    for state, weight, labels, _ in _walk(tcomp):
+    for state, probs, labels, _ in _walk(tcomp):
         outcomes = tuple(zip(tcomp.slots, labels))
         values = dict(outcomes)
         if any(values.get(k) != v for k, v in given.items()):
             continue
-        kept.append((state, weight, outcomes))
+        kept.append((state, _weight(probs), outcomes))
         known.append(values)
     total = sum(weight for _, weight, _ in kept)
     if not kept or total <= qcore.PROB_EPS:

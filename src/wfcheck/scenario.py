@@ -245,6 +245,15 @@ def _state_literal_problem(state: StateExpr, target_dim: int | None = None) -> s
     return None
 
 
+def _label_problem(b: BasisDecl) -> str | None:
+    """Why a declared basis's labels cannot be reported, or None: JSON has no
+    infinite or NaN number."""
+    for label in b.labels:
+        if isinstance(label, float) and not math.isfinite(label):
+            return f"basis {b.name!r} has a non-finite label {label!r}"
+    return None
+
+
 def _basis_decl_problem(b: BasisDecl) -> str | None:
     """Why the kernel would reject a declared basis, or None."""
     if len(b.labels) != len(set(b.labels)):  # by value, as BasisSpec compares: 1 == 1.0
@@ -343,7 +352,15 @@ class _Cursor:
         return self.take_match(_IDENT_RE, what).group()
 
     def take_int(self, what: str = "integer") -> int:
-        return int(self.take_match(_INT_RE, what).group())
+        return self.int_value(self.take_match(_INT_RE, what).group())
+
+    def int_value(self, tok: str) -> int:
+        """The integer token just taken; Python refuses to convert one of
+        more than ``sys.get_int_max_str_digits()`` digits (4300 by default)."""
+        try:
+            return int(tok)
+        except ValueError:
+            self.reject(f"integer of {len(tok.lstrip('+-'))} digits is too long")
 
     def take_float(self, what: str = "number") -> float:
         return float(self.take_match(_FLOAT_RE, what).group())
@@ -490,7 +507,7 @@ def _parse_observer(cur: _Cursor, st: _ParseState) -> None:
 def _parse_label(cur: _Cursor) -> Label:
     tok = cur.take(None)
     if _INT_RE.match(tok):
-        return int(tok)
+        return cur.int_value(tok)
     if _FLOAT_RE.match(tok):
         return float(tok)
     return tok
@@ -817,8 +834,10 @@ def validate(s: Scenario) -> list[Diagnostic]:
         declare(names.observers, o.name, o)
     for b in s.bases:
         declare(names.bases, b.name, b)
-    # reported where a basis is used; an unused declaration never reaches the kernel
-    bad_bases = {name: problem for name, b in names.bases.items() if (problem := _basis_decl_problem(b))}
+    # reported where a basis is used; an unused declaration never reaches the kernel or a report
+    bad_bases = {
+        name: problem for name, b in names.bases.items() if (problem := _basis_decl_problem(b) or _label_problem(b))
+    }
 
     prepared: set[str] = set()
     touched: set[str] = set()
@@ -894,7 +913,9 @@ def validate(s: Scenario) -> list[Diagnostic]:
                 labels = () if declared is None else declared.labels
                 for label in labels:
                     cell = _CELL_RE.fullmatch(label) if isinstance(label, str) else None
-                    if cell and len(labels) <= int(cell[1]) < decl.dim:
+                    # an index with more digits than the dimension is out of
+                    # range, and int() refuses very long digit strings
+                    if cell and len(cell[1]) <= len(str(decl.dim)) and len(labels) <= int(cell[1]) < decl.dim:
                         out.append(Diagnostic(i, f"basis label {label!r} collides with a pointer cell name of record {key!r}"))
             written.setdefault(key, i)
             touched.update(ev.targets)

@@ -325,6 +325,33 @@ class TestRunCommand:
             assert err.startswith(f"{path}: event 1: basis label 'cell2' collides")
             assert "Traceback" not in err
 
+    def test_non_finite_label_exit_1(self, capsys, tmp_path):
+        # JSON has no infinite number, so such a label never reaches a report
+        path = tmp_path / "inf.wfs"
+        path.write_text(
+            "scenario inf\nsystem S 2\nagent alice record A 2 init 0\nobserver bob\n"
+            "basis big on 2 labels 1e999, 0 vectors [1, 0] ; [0, 1]\n"
+            "prepare state [0.6+0i, 0.8+0i] on S\n"
+            "interact alice on S basis big record A\n"
+            "read bob record alice.A result rb\n"
+        )
+        for rules in it.RULE_KINDS:
+            code, out, err = invoke(capsys, "run", str(path), "--rules", rules, "--format", "json")
+            assert (code, out) == (1, "")
+            assert err.startswith(f"{path}: event 1: basis 'big' has a non-finite label inf")
+            assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length")
+    @pytest.mark.parametrize("command", ["parse", "run"])
+    def test_long_integer_exit_1_with_location(self, capsys, tmp_path, command):
+        path = tmp_path / "long.wfs"
+        path.write_text("scenario x\nsystem S " + "9" * 5000 + "\n")
+        args = (command, str(path)) + (("--rules", "orthodox") if command == "run" else ())
+        code, out, err = invoke(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{path}: line 2, column 10: integer of 5000 digits is too long")
+        assert "Traceback" not in err
+
     def test_disturbed_conditioning_record_exit_1_under_rqm5(self, capsys, tmp_path):
         for text, fact in ((REREAD, "'alice.A1'=0"), (CORRELATED_READ, "'bob.B'=0")):
             path = tmp_path / "disturbed.wfs"

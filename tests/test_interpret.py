@@ -16,6 +16,7 @@ cross-perspective pin forces agreement instead.
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -818,3 +819,214 @@ def test_pin_turns_relative_fact_into_known_result():
     free = it.perspective(s, it.RuleSet.rqm5(), "bob", given={"alice.A": 1})
     assert free.knowledge == (("alice.A", 1),)
     assert isinstance(free.state, qcore.DensityMatrix)
+
+
+# ---------------------------------------------------------------------------
+# independent blocks
+
+
+def _block_keys(s, rules):
+    comp = it._compile(s, rules)
+    return [tuple(comp.slots[at] for at in block.slots) for block in comp.blocks]
+
+
+def _single_walk_table(comp):
+    """The table folded from one walk of the whole plan, rows in leaf order."""
+    out = {}
+    for _, probs, labels, _ in it._walk(comp):
+        weight = 1.0
+        for p in probs:
+            weight *= p
+        row = labels if comp.point_order is None else tuple(labels[at] for at in comp.point_order)
+        out[row] = out.get(row, 0.0) + weight
+    return out
+
+
+def _scenario_literals():
+    """Every scenario literal in these test modules that parses and validates."""
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for text in re.findall(r'"""\n?(scenario .*?)"""', path.read_text(encoding="utf-8"), re.S):
+            try:
+                s = sc.parse(text.replace("\\\n", "").replace("{mid}", ""))
+            except sc.ScenarioError:
+                continue  # an f-string template
+            if not sc.validate(s):
+                found.append(s)
+    return found
+
+
+# alice's and bob's systems are independent, but under rqm5/cpl one pool
+# makes bob's fact conditional on alice's; carol's block stays apart
+PARTITIONED = """scenario partitioned
+system S1 2
+system S2 2
+system S3 2
+agent alice record A 2 init 0
+agent bob record B 2 init 0
+agent carol record C 2 init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.8+0i, 0.6+0i] on S2
+prepare state [0.28+0i, 0.96+0i] on S3
+partition p group alice, bob
+interact alice on S1 basis basis1 record A
+interact carol on S3 basis basis3 record C
+interact bob on S2 basis basis1 record B
+read w record alice.A result ra
+read w record bob.B result rb
+read w record carol.C result rc
+"""
+
+# an agent conditions on its own earlier facts under rqm5/cpl
+TWICE = """scenario twice
+system S1 2
+system S2 2
+system S3 2
+agent alice record A 2 init 0 record B 2 init 0
+agent carol record C 2 init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.8+0i, 0.6+0i] on S2
+prepare state [0.28+0i, 0.96+0i] on S3
+interact alice on S1 basis basis1 record A
+interact carol on S3 basis basis3 record C
+interact alice on S2 basis basis1 record B
+read w record alice.A result ra
+measure w on S2 basis basis2 result m
+read w record alice.B result rb
+read w record carol.C result rc
+"""
+
+# a concurrent group joins its events' subsystems under every rule set
+CONCURRENT = """scenario concurrent
+system S1 2
+system S2 2
+system S3 2
+agent alice record A 2 init 0
+observer bob
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.8+0i, 0.6+0i] on S2
+prepare state [0.28+0i, 0.96+0i] on S3
+measure bob on S1 basis basis1 result m
+interact alice on S2 basis basis1 record A concurrent
+measure bob on S3 basis basis2 result m3
+read bob record alice.A result ra
+"""
+
+# under rqm5 each agent's second fact conditions on a first one that w's read
+# has collapsed; alice's block draws first, but the single walk meets bob's
+# zero-probability branch (rb=1 after bob.B1=0) first, deeper in its tree
+TWO_FAILURES = """scenario two_failures
+system S1 2
+system S2 2
+system T1 2
+system T2 2
+agent alice record A1 2 init 0 record A2 2 init 0
+agent bob record B1 2 init 0 record B2 2 init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.6+0i, 0.8+0i] on S2
+prepare state [0.6+0i, 0.8+0i] on T1
+prepare state [0.6+0i, 0.8+0i] on T2
+interact alice on S1 basis basis1 record A1
+read w record alice.A1 result ra
+interact bob on T1 basis basis1 record B1
+read w record bob.B1 result rb
+interact bob on T2 basis basis1 record B2
+interact alice on S2 basis basis1 record A2
+"""
+
+RULE_VARIANTS = [it.RuleSet("orthodox"), it.RuleSet.rqm5(), it.RuleSet.rqm5("both"),
+                 it.RuleSet.rqm5_cpl(), it.RuleSet.rqm5_cpl("both")]
+
+
+@pytest.mark.parametrize("rules", RULE_VARIANTS, ids=lambda r: f"{r.kind}-{r.fact_holder}")
+def test_blocks_combine_to_the_single_walk_table(rules):
+    # values bit for bit and rows in the same order, on every scenario at hand
+    scenarios = [sc.parse(sc.bundled_scenario_text(name)) for name in sc.BUNDLED_SCENARIOS]
+    scenarios += [_chain(TestChain.PROBS8[:n]) for n in range(1, 7)]
+    scenarios += [sc.parse(text) for text in (PARTITIONED, TWICE, CONCURRENT)] + _scenario_literals()
+    combined = 0
+    for s in scenarios:
+        try:
+            comp = it._compile(s, rules)
+        except it.ConcurrencyError:
+            continue
+        try:
+            want = _single_walk_table(comp)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as info:
+                it.exact_joint(s, rules)
+            assert str(info.value) == str(exc)
+            continue
+        got = it.exact_joint(s, rules)
+        assert list(got) == list(want), s.name
+        assert all(type(got[row]) is float and got[row] == want[row] for row in want), s.name
+        combined += len(comp.blocks) > 1
+    assert combined >= 8
+
+
+@pytest.mark.parametrize("text,orthodox,relative", [
+    (PARTITIONED, [("alice.A", "ra"), ("carol.C", "rc"), ("bob.B", "rb")],
+     [("alice.A", "bob.B", "ra", "rb"), ("carol.C", "rc")]),
+    (TWICE, [("alice.A", "ra"), ("carol.C", "rc"), ("alice.B", "m", "rb")],
+     [("alice.A", "alice.B", "ra", "m", "rb"), ("carol.C", "rc")]),
+    (CONCURRENT, [("m", "alice.A", "ra"), ("m3",)], [("alice.A", "m", "ra"), ("m3",)]),
+], ids=["partition", "interacts_twice", "concurrent"])
+def test_coupled_outcomes_share_a_block(text, orthodox, relative):
+    # pools condition facts only under rqm5/cpl; a concurrent group always couples
+    s = sc.parse(text)
+    assert _block_keys(s, it.RuleSet.orthodox()) == orthodox
+    for rules in RULE_VARIANTS[1:]:
+        assert _block_keys(s, rules) == relative
+
+
+@pytest.mark.parametrize("rules", RULE_VARIANTS, ids=lambda r: f"{r.kind}-{r.fact_holder}")
+def test_no_outcomes_is_one_float_row(rules):
+    # two untouched subsystems, or none: math.prod(()) would be the int 1
+    for text in ("scenario empty\nobserver o\n",
+                 "scenario idle\nsystem S 2\nsystem T 2\nprepare state [0.6+0i, 0.8+0i] on S\n"
+                 "prepare state [0.8+0i, 0.6+0i] on T\n"):
+        joint = it.exact_joint(sc.parse(text), rules)
+        assert list(joint) == [()] and type(joint[()]) is float and joint[()] == 1.0
+
+
+def test_errors_are_the_single_walks_first():
+    s = sc.parse(TWO_FAILURES)
+    rules = it.RuleSet.rqm5()
+    assert len(_block_keys(s, rules)) == 2
+    with pytest.raises(qcore.ZeroProbabilityError) as walked:
+        list(it._walk(it._compile(s, rules)))
+    assert "'bob.B1'=0" in str(walked.value)
+    with pytest.raises(qcore.ZeroProbabilityError) as info:
+        it.exact_joint(s, rules)
+    assert str(info.value) == str(walked.value)
+    with pytest.raises(qcore.ZeroProbabilityError) as info:
+        it.predicted_distribution(s, rules, "w", "ra")
+    assert str(info.value) == str(walked.value)
+
+
+class TestMarginalPastTheLimit:
+    PROBS12 = TestChain.PROBS8 + (0.25, 0.65, 0.3, 0.5)
+
+    @pytest.mark.parametrize("fact_holder", it.FACT_HOLDERS)
+    def test_walks_only_its_own_blocks(self, fact_holder, monkeypatch):
+        # 4^12 leaves refuse the whole table; r1 given f1.A needs chain block 1
+        # alone, and the stable readout is Born distributed whatever the fact
+        s = _chain(self.PROBS12)
+        rules = it.RuleSet.rqm5(fact_holder)
+        with pytest.raises(it.TooManyBranchesError):
+            it.exact_joint(s, rules)
+        dims = _recording(monkeypatch, "project", "born_distribution", "apply_local")
+        got = it.predicted_distribution(s, rules, "w", "r1", {"f1.A": 0})
+        assert list(got) == [0, 1]
+        assert abs(got[0] - 0.2) <= 1e-12 and abs(got[1] - 0.8) <= 1e-12
+        assert 0 < len(dims) <= 5
+
+    def test_needed_blocks_past_the_limit_are_refused_before_any_kernel_call(self, monkeypatch):
+        s = _chain(self.PROBS12)
+        dims = _recording(monkeypatch, "project", "born_distribution", "apply_local")
+        with pytest.raises(it.TooManyBranchesError, match="exceeds 1000000 branches"):
+            it.predicted_distribution(s, it.RuleSet.rqm5(), "w", "r1", {f"f{i}.A": 0 for i in range(1, 13)})
+        assert dims == []

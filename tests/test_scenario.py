@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -357,6 +358,49 @@ def test_overflowing_literals():
     s = sc.parse("scenario x\nbasis b on 2 labels 1e999, -1e999 vectors [1, 0] ; [0, 1]\n")
     assert s.bases[0].labels == (math.inf, -math.inf)
     assert sc.parse(sc.dumps(s)) == s
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length")
+@pytest.mark.parametrize("line", [
+    "system S {n}",
+    "agent a record R {n} init 0",
+    "agent a record R 2 init {n}",
+    "basis b on {n} labels 0, 1 vectors [1, 0] ; [0, 1]",
+    "basis b on 2 labels 0, {n} vectors [1, 0] ; [0, 1]",
+])
+def test_long_integer_tokens(line):
+    # int() converts at most 4300 digits by default; the parser says where
+    with pytest.raises(sc.ScenarioError) as exc:
+        sc.parse("scenario x\n" + line.format(n="9" * 5000) + "\n")
+    assert (exc.value.message, exc.value.line, exc.value.column) == (
+        "integer of 5000 digits is too long", 2, line.index("{n}") + 1)
+
+
+def test_long_pointer_cell_label_validates():
+    # a cellJ label whose index has more digits than int() converts is far
+    # past the record's dimension, so it names no pointer cell
+    text = HEADER + (
+        f"basis b on 2 labels cell{'9' * 5000}, 0 vectors [1, 0] ; [0, 1]\n"
+        "prepare state [1+0i, 0+0i] on S\n"
+        "interact a on S basis b record R\n"
+    )
+    assert sc.validate(sc.parse(text)) == []
+
+
+@pytest.mark.parametrize("label", [math.inf, -math.inf, math.nan])
+def test_non_finite_label_is_reported_where_its_basis_is_used(label):
+    text = HEADER + (
+        "basis b on 2 labels 0, 1 vectors [1, 0] ; [0, 1]\n"
+        "prepare state [1+0i, 0+0i] on S\n"
+        "measure o on S basis b result r\n"
+    )
+    s = sc.parse(text)
+    s = sc.Scenario(s.name, s.systems, s.agents, s.observers,
+                    (sc.BasisDecl("b", 2, (label, 1), s.bases[0].vectors),), s.timeline)
+    assert [str(d) for d in sc.validate(s)] == [f"event 1: basis 'b' has a non-finite label {label!r}"]
+    # an unused declaration reaches no output
+    unused = sc.Scenario(s.name, s.systems, s.agents, s.observers, s.bases, s.timeline[:1])
+    assert sc.validate(unused) == []
 
 
 # the bundled files plus the statements they lack: a basis declaration, a
