@@ -352,7 +352,8 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
             bspec = _basis_spec(s, ev.basis, targets)
             key = sc.record_key(ev.agent, ev.record)
             record = (key, dims[key])
-            shape = (bspec.vectors.tobytes(), bspec.labels, tuple(d for _, d in bspec.targets), record[1], record_init[key])
+            dims_in = tuple(d for _, d in bspec.targets)
+            shape = (bspec.vectors.tobytes(), bspec.labels, dims_in, record[1], record_init[key])
             matrix = premeasured.get(shape)
             if matrix is None:
                 matrix = premeasured[shape] = qcore.build_premeasurement(bspec, record, record_init[key]).matrix
@@ -547,7 +548,9 @@ def _with(comp: _Compiled, state: _State, parts: _State) -> _State:
 
 
 def _born(memo: dict, factor: qcore.StateVector, spec: qcore.BasisSpec) -> dict[Label, float]:
-    return _shared(memo, (factor,), ("born", id(spec)), qcore.born_distribution, factor, spec)
+    # kept for the whole walk: under rqm5 a relative fact and a later readout
+    # of its record measure the same factor in the same basis
+    return _shared(memo["born"], (factor,), id(spec), qcore.born_distribution, factor, spec)
 
 
 def _collapsed(
@@ -572,8 +575,9 @@ def _project(
     positions = factor.layout.positions(spec.target_ids)
     rows = np.moveaxis(projected.tensor_view(), positions, range(len(positions))).reshape(spec.dim, -1)
     rest = qcore.SpaceLayout(tuple(s for s in factor.layout.subsystems if s[0] not in spec.target_ids))
-    measured = qcore.permute(qcore.StateVector(qcore.SpaceLayout(spec.targets), vec),
-                             sorted(spec.target_ids, key=comp.order.get))
+    measured = qcore.StateVector(qcore.SpaceLayout(spec.targets), vec)
+    if len(spec.targets) > 1:
+        measured = qcore.permute(measured, sorted(spec.target_ids, key=comp.order.get))
     return (measured, qcore.StateVector(rest, rows[k] / vec[k]))
 
 
@@ -616,10 +620,12 @@ def _outcomes(memo: dict, comp: _Compiled, factor: qcore.StateVector, step: _CMe
 def _conditioned(memo: dict, comp: _Compiled, state: _State, ev: _CInteract, facts) -> list[tuple[Label, float]]:
     """An agent outcome's distribution given its pool's earlier facts."""
     factor = _touch(memo, comp, state, (ev.record,) + tuple(key for key, _ in facts))
-    return _shared(memo, (factor,), ("condition", ev.index, facts), _fact_distribution, comp, factor, ev, facts)
+    return _shared(memo, (factor,), ("condition", ev.index, facts), _fact_distribution, memo, comp, factor, ev, facts)
 
 
-def _fact_distribution(comp: _Compiled, factor: qcore.StateVector, ev: _CInteract, facts) -> list[tuple[Label, float]]:
+def _fact_distribution(
+    memo: dict, comp: _Compiled, factor: qcore.StateVector, ev: _CInteract, facts,
+) -> list[tuple[Label, float]]:
     for key, value in facts:
         try:
             factor = qcore.project(factor, comp.writers[key].readout, value)
@@ -628,7 +634,7 @@ def _fact_distribution(comp: _Compiled, factor: qcore.StateVector, ev: _CInterac
                 f"conditioning on fact {key!r}={value!r} has zero probability; "
                 "the record, or a record correlated with it, was disturbed after the fact was produced"
             ) from e
-    dist = qcore.born_distribution(factor, ev.readout)
+    dist = qcore.born_distribution(factor, ev.readout) if facts else _born(memo, factor, ev.readout)
     return [(label, p) for label, p in dist.items() if p > qcore.PROB_EPS]
 
 
@@ -741,8 +747,10 @@ def _walk(comp: _Compiled, block: _Block | None = None, chooser=None) -> Iterato
     if not depth:
         yield comp.initial, (), (), ()
         return
-    # step results per state node and kernel work per factor, one memo per group
-    memos: list[dict] = [{} for _ in groups]
+    # step results per state node and kernel work per factor, one memo per
+    # group, plus Born distributions per factor for the whole walk
+    born: dict = {}
+    memos: list[dict] = [{"born": born} for _ in groups]
     stack: list[tuple[int, _Branch]] = [(0, (comp.initial, (), (), ()))]
     while stack:
         g, branch = stack.pop()
@@ -896,37 +904,40 @@ def _combined(comp: _Compiled, blocks: tuple[_Block, ...], point=None) -> dict[t
     single walk's bit for bit.  A row is the labels in slot order, or
     ``point`` of them."""
     _refuse_over_limit(comp, prod(block.leaf_bound for block in blocks))
-    owner = sorted((at, b) for b, block in enumerate(blocks) for at in block.slots)
+    owner = [b for _, b in sorted((at, b) for b, block in enumerate(blocks) for at in block.slots)]
     last = len(owner) - 1
-    # each slot's node in its block's tree along the current row, set when
-    # the row's previous slot of the same block is chosen
-    nodes: list = [None] * len(owner)
-    follow: list[int | None] = [None] * len(owner)  # the next slot of the same block
+    # nodes[k] is slot k's node in its block's tree along the current row,
+    # set when the row's previous slot of that block is chosen; follow[k] is
+    # the next slot of slot k's block, or the spare entry at the end
+    nodes: list = [None] * (len(owner) + 1)
+    follow = [len(owner)] * (len(owner) + 1)
     first: dict[int, int] = {}
     for k in reversed(range(len(owner))):
-        b = owner[k][1]
-        follow[k] = first.get(b)
-        first[b] = k
+        follow[k] = first.get(owner[k], len(owner))
+        first[owner[k]] = k
     for b, tree in enumerate(_trees(comp, blocks)):
         nodes[first[b]] = tree
     out: dict[tuple[Label, ...], float] = {}
     stack: list = [(-1, None, (), 1.0)]  # (slot, node it leads to, labels, weight)
     while stack:
         k, node, labels, weight = stack.pop()
-        if k >= 0 and follow[k] is not None:
-            nodes[follow[k]] = node
+        nodes[follow[k]] = node
         if k + 1 < last:
-            stack.extend((k + 1, child, labels + (label,), weight * p) for label, p, child in reversed(nodes[k + 1]))
-            continue
-        for label, p, _ in nodes[last]:
-            row = labels + (label,)
-            out[row if point is None else point(row)] = weight * p
+            children = reversed(nodes[k + 1].items())
+            stack += [(k + 1, child, labels + (label,), weight * p) for label, (p, child) in children]
+        elif point is None:
+            for label, (p, _) in nodes[last].items():
+                out[labels + (label,)] = weight * p
+        else:
+            for label, (p, _) in nodes[last].items():
+                out[point(labels + (label,))] = weight * p
     return out
 
 
-def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[list]:
-    """Each block's branch tree, one node per drawn outcome: a node lists its
-    children as (label, p, node), in the order the walk expands them."""
+def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[dict]:
+    """Each block's branch tree, one node per drawn outcome: a node maps each
+    child's label to (p, node), in the order the walk expands them (sibling
+    outcomes differ in their label)."""
     try:
         leaves = [[(labels, probs) for _, probs, labels, _ in _walk(comp, block)] for block in blocks]
     except ValueError as exc:
@@ -938,21 +949,13 @@ def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[list]:
         raise exc
     trees = []
     for block_leaves in leaves:
-        root: list = []
-        path = [root]  # the nodes along the previous leaf
-        previous: tuple = ()
+        root: dict = {}
         for labels, probs in block_leaves:
-            # sibling outcomes differ in their label, so the first label that
-            # differs from the previous leaf's is where this leaf branches off
-            d = 0
-            while d < len(previous) and labels[d] == previous[d]:
-                d += 1
-            del path[d + 1:]
-            for label, p in zip(labels[d:], probs[d:]):
-                node: list = []
-                path[-1].append((label, p, node))
-                path.append(node)
-            previous = labels
+            node = root
+            for label, p in zip(labels, probs):
+                if label not in node:
+                    node[label] = (p, {})
+                node = node[label][1]
         trees.append(root)
     return trees
 
