@@ -66,7 +66,8 @@ pointer state splits the measured targets back off, exactly, unless a
 later event joins them with other subsystems again.  Kernel work is
 shared per factor within a group: a factor a group leaves alone is one
 object in every branch, and each distinct factor is evolved, measured
-and projected once.  Perspectives are built dense, over the whole layout
+and projected once (its Born distribution in a basis once per walk).
+Perspectives are built dense, over the whole layout
 in declaration order (the design follows the product-state simulators
 of Cirq, https://github.com/quantumlib/Cirq).
 
