@@ -15,9 +15,13 @@ The engine runs a scenario timeline three ways:
   and a pin onto a zero-probability outcome is reported as an anomaly
   rather than raised.
 
-Each public call validates its scenario once and then compiles it under
-one rule set.  Compilation holds everything the timeline and the rules
-fix: the interaction that writes each record, each interaction's
+A scenario object is validated on its first public call and compiled
+once per rule set; the plans are kept for as long as the object lives, so
+repeated calls on one scenario reuse them.  Plans are kept per object,
+not per value: two equal scenarios can report labels of different types
+(1 and 1.0 compare equal).  Only plans are kept, never a table, a walk or
+a Born distribution.  Compilation holds everything the timeline and the
+rules fix: the interaction that writes each record, each interaction's
 conditioning pool, resolved from the ``partition`` events before it (the
 default pool is the agent alone), and for each event group the unitaries
 that act before any outcome is drawn (concurrent events are checked to
@@ -96,6 +100,15 @@ default readout left on one pointer.  Any other step reaches every label
 of its basis.  Pruning of zero-probability outcomes is not foreseen, so
 a scenario whose bound exceeds the limit is refused even when its real
 leaf count would not.
+
+Compilation is refused, before any array is allocated, when the largest
+dense array the plan builds would hold more than ``ENTRY_LIMIT`` complex
+entries: a subsystem's initial vector, a preparation's state, a basis
+matrix (d² over targets of dimension d), a premeasurement ((d·D)² for d
+the targets' dimension and D the record's), or the operators that the
+concurrency check embeds on two events' joint support.  The dense
+perspectives that ``run`` and ``perspective`` build over the whole layout
+are not bounded.
 """
 
 from __future__ import annotations
@@ -104,6 +117,7 @@ import functools
 import itertools
 import operator
 import random
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
@@ -116,6 +130,7 @@ from . import scenario as sc
 from .qcore import Label
 
 BRANCH_LIMIT = 1_000_000
+ENTRY_LIMIT = 1 << 22  # complex entries in the largest dense array a plan builds: 64 MiB
 CONCURRENCY_ATOL = 1e-10
 
 RULE_KINDS = ("orthodox", "rqm5", "cpl")
@@ -265,7 +280,8 @@ class _Block:
 
 @dataclass(frozen=True)
 class _Compiled:
-    scenario: sc.Scenario
+    name: str  # the scenario's; a plan holds no reference to its scenario
+    observers: tuple[str, ...]  # agents, then outside observers, in declaration order
     rules: RuleSet
     layout: qcore.SpaceLayout
     order: dict[str, int]  # subsystem id -> its position in the layout
@@ -306,21 +322,80 @@ def _basis_spec(s: sc.Scenario, expr: sc.BasisExpr, targets: tuple[tuple[str, in
     return qcore.lifted_basis(outer, inner, record)
 
 
-def _require_valid(s: sc.Scenario) -> None:
-    diags = sc.validate(s)
-    if diags:
-        msgs = "; ".join(map(str, diags))
-        raise ValueError(f"scenario {s.name!r} does not validate: {msgs}")
+# id(scenario) -> its plans by rule set, for each scenario object that has
+# validated.  An entry is removed when its scenario is collected, and a plan
+# holds no reference to its scenario, so it lives as long as the object.
+_plans: dict[int, dict[RuleSet, _Compiled]] = {}
+
+
+def _plans_of(s: sc.Scenario) -> dict[RuleSet, _Compiled]:
+    """The plans kept for the scenario object ``s``, validating it on first use."""
+    plans = _plans.get(id(s))
+    if plans is None:
+        diags = sc.validate(s)
+        if diags:
+            msgs = "; ".join(map(str, diags))
+            raise ValueError(f"scenario {s.name!r} does not validate: {msgs}")
+        plans = _plans[id(s)] = {}
+        weakref.finalize(s, _plans.pop, id(s), None)
+    return plans
+
+
+def _plan(s: sc.Scenario, rules: RuleSet) -> _Compiled:
+    """The scenario's plan under ``rules``: validated once, compiled once per
+    rule set.  A refused plan is not kept, so it is refused on every call."""
+    plans = _plans_of(s)
+    comp = plans.get(rules)
+    if comp is None:
+        comp = plans[rules] = _compile(s, rules)
+    return comp
+
+
+def _largest_array(s: sc.Scenario, dims: dict[str, int]) -> tuple[int, str]:
+    """(entries, where) of the largest dense array compiling ``s`` builds,
+    from the dimensions alone: the first event or subsystem that builds it."""
+    largest = (0, "")
+    for sid, dim in dims.items():
+        if dim > largest[0]:
+            largest = (dim, f"the initial state of {sid!r}")
+    group: list[tuple[str, ...]] = []  # the supports of the current group's events
+    for i, ev in enumerate(s.timeline):
+        if isinstance(ev, sc.DeclarePartition):
+            continue
+        support = (sc.record_key(ev.agent, ev.record),) if isinstance(ev, sc.ReadRecord) else ev.targets
+        d = prod(dims[t] for t in support)
+        if isinstance(ev, sc.Prepare):
+            entries = d
+        elif isinstance(ev, sc.Interact):
+            key = sc.record_key(ev.agent, ev.record)
+            support += (key,)
+            entries = (d * dims[key]) ** 2  # the premeasurement; the readout is D² and the basis d²
+        else:
+            entries = d * d
+        if not getattr(ev, "concurrent", False):
+            group = []
+        # the concurrency check embeds both events' operators on their joint support
+        for other in group:
+            if set(other) & set(support):
+                entries = max(entries, prod(dims[t] for t in set(other) | set(support)) ** 2)
+        group.append(support)
+        if entries > largest[0]:
+            largest = (entries, f"event {i}")
+    return largest
 
 
 def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     """Lay out a validated scenario: everything the timeline and the rules fix."""
     layout = sc.layout_of(s)
     dims = dict(layout.subsystems)
+    entries, where = _largest_array(s, dims)
+    if entries > ENTRY_LIMIT:
+        raise ValueError(f"scenario {s.name!r}: {where} builds an array of {entries} entries, "
+                         f"over the limit of {ENTRY_LIMIT}")
     order = {sid: i for i, sid in enumerate(layout.ids)}
     record_init = {sc.record_key(a.name, r.name): r.init for a in s.agents for r in a.records}
     initial = tuple(
-        qcore.StateVector(layout.sublayout((sid,)), np.eye(dim, dtype=complex)[record_init.get(sid, 0)])
+        qcore.StateVector(layout.sublayout((sid,)), _pointer(dim, record_init.get(sid, 0)))
         for sid, dim in layout.subsystems
     )
 
@@ -435,10 +510,17 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
         targets = set(ev.readout.target_ids) if isinstance(ev, _CInteract) else supports[i]
         if any(support & targets and support - targets for support in supports[i + 1:]):
             rejoined.add(ev.index)
-    return _Compiled(s, rules, layout, order, initial, tuple(events), tuple(groups), writers,
-                     frozenset(intact), frozenset(rejoined), tuple(slots),
+    return _Compiled(s.name, tuple(_observer_names(s)), rules, layout, order, initial, tuple(events),
+                     tuple(groups), writers, frozenset(intact), frozenset(rejoined), tuple(slots),
                      None if point_order == tuple(range(len(slots))) else point_order,
                      prod(counts.values()), _blocks(layout.ids, groups, spans, [counts[key] for key in slots]))
+
+
+def _pointer(dim: int, k: int) -> np.ndarray:
+    """The k-th computational basis vector of dimension ``dim``."""
+    vec = np.zeros(dim, dtype=complex)
+    vec[k] = 1.0
+    return vec
 
 
 def _blocks(ids: tuple[str, ...], groups: list[_Group], spans: list[range], counts: list[int]) -> tuple[_Block, ...]:
@@ -669,11 +751,14 @@ def _support(ev: _CEvent) -> tuple[str, ...]:
     return ev.state.layout.ids
 
 
-def _operators(ev: _CEvent) -> list[tuple[np.ndarray, tuple[str, ...]]]:
+def _operators(ev: _CEvent) -> Iterator[tuple[np.ndarray, tuple[str, ...]]]:
+    """The event's unitary, or its projectors one at a time: d of them hold d³ entries."""
     if isinstance(ev, _CInteract):
-        return [(ev.unitary.matrix, ev.unitary.layout.ids)]
+        yield ev.unitary.matrix, ev.unitary.layout.ids
+        return
     spec = ev.spec
-    return [(np.outer(v, v.conj()), spec.target_ids) for v in spec.vectors]
+    for v in spec.vectors:
+        yield np.outer(v, v.conj()), spec.target_ids
 
 
 def _embed(mat: np.ndarray, ids: tuple[str, ...], union: tuple[str, ...], dims: dict[str, int]) -> np.ndarray:
@@ -730,7 +815,7 @@ def _expand_group(comp: _Compiled, group: _Group, branch: _Branch, memo: dict) -
 
 def _refuse_over_limit(comp: _Compiled, leaf_bound: int) -> None:
     if leaf_bound > BRANCH_LIMIT:
-        raise TooManyBranchesError(f"scenario {comp.scenario.name!r} exceeds {BRANCH_LIMIT} branches")
+        raise TooManyBranchesError(f"scenario {comp.name!r} exceeds {BRANCH_LIMIT} branches")
 
 
 def _walk(comp: _Compiled, block: _Block | None = None, chooser=None) -> Iterator[_Branch]:
@@ -770,12 +855,10 @@ def _walk(comp: _Compiled, block: _Block | None = None, chooser=None) -> Iterato
 
 def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
     """Sample a single history; identical (scenario, rules, seed) gives identical output."""
-    _require_valid(s)
-    return _run(_compile(s, rules), seed)
+    return _run(_plan(s, rules), seed)
 
 
 def _run(comp: _Compiled, seed: int) -> RunResult:
-    s = comp.scenario
     rng = random.Random(seed)
 
     def chooser(children: list[_Branch]) -> _Branch:
@@ -795,7 +878,7 @@ def _run(comp: _Compiled, seed: int) -> RunResult:
     memo: dict = {}
     perspectives = {
         name: _branch_perspective(comp, state, outcomes, name, memo)
-        for name in _observer_names(s)
+        for name in comp.observers
     }
     # the ledger and anomaly notes describe the sampled history only
     entries = tuple(
@@ -809,7 +892,7 @@ def _run(comp: _Compiled, seed: int) -> RunResult:
         for p in pins if p.anomalous
     )
     return RunResult(
-        scenario=s.name,
+        scenario=comp.name,
         rules=comp.rules,
         seed=seed,
         results={key: label for key, label in outcomes if key not in comp.writers},
@@ -878,8 +961,7 @@ def outcome_keys(s: sc.Scenario) -> tuple[str, ...]:
 
 def exact_joint(s: sc.Scenario, rules: RuleSet) -> dict[tuple[Label, ...], float]:
     """Exact joint distribution over all outcome variables, keyed per outcome_keys."""
-    _require_valid(s)
-    return _exact_joint(_compile(s, rules))
+    return _exact_joint(_plan(s, rules))
 
 
 def _exact_joint(comp: _Compiled) -> dict[tuple[Label, ...], float]:
@@ -1005,8 +1087,7 @@ def predicted_distribution(
         if key not in written:
             raise ValueError(f"conditioning on an unwritten record: {key!r}")
 
-    _require_valid(s)
-    comp = _compile(s, rules)
+    comp = _plan(s, rules)
     if comp.leaf_bound <= BRANCH_LIMIT or len(comp.blocks) < 2:
         # a fold of the whole table, so the marginal equals one folded from
         # exact_joint bit for bit: every leaf is one row, as sibling outcomes
@@ -1035,7 +1116,7 @@ def perspective(
     result names or record keys, fixing what the observer is taken to know.
     Returns a StateVector when the mixture is pure, else a DensityMatrix.
     """
-    _require_valid(s)
+    _plans_of(s)  # validates s once; a truncated timeline of a valid scenario is valid
     if observer not in _observer_names(s):
         raise ValueError(f"unknown observer {observer!r}")
     n = len(s.timeline)
@@ -1046,8 +1127,11 @@ def perspective(
     if after + 1 < n and getattr(s.timeline[after + 1], "concurrent", False):
         raise ValueError(f"event index {after} falls inside a concurrent group")
 
-    truncated = sc.Scenario(s.name, s.systems, s.agents, s.observers, s.bases, s.timeline[: after + 1])
-    tcomp = _compile(truncated, rules)
+    if after + 1 == n:
+        tcomp = _plan(s, rules)
+    else:
+        truncated = sc.Scenario(s.name, s.systems, s.agents, s.observers, s.bases, s.timeline[: after + 1])
+        tcomp = _compile(truncated, rules)
 
     given = dict(given or {})
     kept: list[tuple[_State, float, tuple[tuple[str, Label], ...]]] = []

@@ -291,18 +291,17 @@ class _Token:
     column: int
 
 
+# the three groups together match at every position that does not hold "#"
 _TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<punct>[\[\](),;])|(?P<word>[^\s\[\](),;#]+)")
 
 
-def _tokenize(line: str, line_no: int) -> list[_Token]:
+def _tokenize(line: str) -> list[_Token]:
     out: list[_Token] = []
     pos = 0
     while pos < len(line):
         if line[pos] == "#":
             break
         m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            raise ScenarioError(f"unreadable character {line[pos]!r}", line_no, pos + 1)
         if m.lastgroup != "space":
             out.append(_Token(m.group(m.lastgroup), pos + 1))
         pos = m.end()
@@ -427,7 +426,7 @@ def parse(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with line/column."""
     st = _ParseState()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, line_no)
+        tokens = _tokenize(raw)
         if not tokens:
             continue
         cur = _Cursor(tokens, line_no)

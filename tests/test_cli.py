@@ -375,6 +375,18 @@ class TestRunCommand:
         assert out == ""
         assert err == f"{path}: scenario 'chain3' exceeds 10 branches\n"
 
+    def test_entry_limit_exit_1(self, capsys, tmp_path):
+        # a 12000 x 12000 premeasurement, 2.15 GiB: refused before allocating
+        path = tmp_path / "big.wfs"
+        path.write_text("scenario big\nsystem S 2\nagent a record R 6000 init 0\nobserver w\n"
+                        "prepare state [0.6+0i, 0.8+0i] on S\ninteract a on S basis basis1 record R\n"
+                        "read w record a.R result r\n")
+        code, out, err = invoke(capsys, "run", str(path), "--rules", "orthodox")
+        assert code == 1
+        assert out == ""
+        assert err == (f"{path}: scenario 'big': event 1 builds an array of 144000000 entries, "
+                       f"over the limit of {it.ENTRY_LIMIT}\n")
+
 
 class TestCheckCommand:
     def test_cpl_contradiction_exit_3(self, capsys):

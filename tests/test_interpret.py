@@ -14,9 +14,12 @@ P(different) = sum over other labels of c^2 = 0.42 unconditioned; the
 cross-perspective pin forces agreement instead.
 """
 
+import dataclasses
+import gc
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1030,3 +1033,166 @@ class TestMarginalPastTheLimit:
         with pytest.raises(it.TooManyBranchesError, match="exceeds 1000000 branches"):
             it.predicted_distribution(s, it.RuleSet.rqm5(), "w", "r1", {f"f{i}.A": 0 for i in range(1, 13)})
         assert dims == []
+
+
+class TestPlanCache:
+    """Each scenario object is validated once and compiled once per rule set."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"validate": 0, "compile": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(sc, "validate", counted("validate", sc.validate))
+        monkeypatch.setattr(it, "_compile", counted("compile", it._compile))
+        return calls
+
+    def test_repeated_calls_neither_validate_nor_compile(self, monkeypatch):
+        s = _chain(TestChain.PROBS[:3])
+        rules = it.RuleSet.rqm5()
+        calls = self._counting(monkeypatch)
+        it.exact_joint(s, rules)
+        assert calls == {"validate": 1, "compile": 1}
+        it.exact_joint(s, rules)
+        it.run(s, rules, seed=3)
+        it.predicted_distribution(s, rules, "w", "r1", {"f1.A": 0})
+        it.perspective(s, rules, "w")
+        assert calls == {"validate": 1, "compile": 1}
+        # a truncated timeline is a plan of its own, and is not kept
+        it.perspective(s, rules, "w", after=5)
+        it.perspective(s, rules, "w", after=5)
+        assert calls == {"validate": 1, "compile": 3}
+
+    def test_each_rule_set_compiles_its_own_plan(self, monkeypatch):
+        s = _chain(TestChain.PROBS[:2])
+        calls = self._counting(monkeypatch)
+        for rules in RULE_VARIANTS + RULE_VARIANTS:
+            it.run(s, rules, seed=1)
+        assert calls == {"validate": 1, "compile": len(RULE_VARIANTS)}
+        assert [plan.rules for plan in it._plans[id(s)].values()] == RULE_VARIANTS
+
+    @pytest.mark.parametrize("rules", RULE_VARIANTS, ids=lambda r: f"{r.kind}-{r.fact_holder}")
+    def test_outputs_repeat_bit_for_bit(self, rules):
+        s = _chain(TestChain.PROBS)
+        want = it._exact_joint(it._compile(s, rules))
+        tables = [it.exact_joint(s, rules) for _ in range(10)]
+        for table in (tables[0], tables[9]):
+            assert list(table) == list(want)
+            assert all(type(table[row]) is float and table[row] == want[row] for row in want)
+        runs = [it.run(s, rules, seed=7) for _ in range(3)]
+        fresh = it.run(_chain(TestChain.PROBS), rules, seed=7)
+        for result in runs:
+            assert (result.results, result.ledger, result.pins) == (fresh.results, fresh.ledger, fresh.pins)
+            for name, view in result.perspectives.items():
+                assert np.array_equal(view.state.amplitudes, fresh.perspectives[name].state.amplitudes)
+
+    def test_invalid_scenario_raises_on_every_call(self, monkeypatch):
+        s = _chain(TestChain.PROBS[:2])
+        bad = dataclasses.replace(s, timeline=s.timeline + (
+            sc.Measure("nobody", ("S1",), sc.PresetBasis("basis1"), "x"),))
+        calls = self._counting(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown observer 'nobody'"):
+                it.exact_joint(bad, it.RuleSet.orthodox())
+        assert calls == {"validate": 3, "compile": 0}
+        assert id(bad) not in it._plans
+
+    def test_plans_live_as_long_as_their_scenario(self):
+        before = len(it._plans)
+        s = _chain(TestChain.PROBS[:2])
+        for rules in RULE_VARIANTS:
+            it.exact_joint(s, rules)
+        assert len(it._plans) == before + 1
+        del s
+        gc.collect()
+        assert len(it._plans) == before
+
+    def test_branch_limit_is_read_on_every_call(self, monkeypatch):
+        s = _chain(TestChain.PROBS[:3])
+        rules = it.RuleSet.rqm5()
+        assert len(it.exact_joint(s, rules)) == 64
+        monkeypatch.setattr(it, "BRANCH_LIMIT", 63)
+        with pytest.raises(it.TooManyBranchesError, match="exceeds 63 branches"):
+            it.exact_joint(s, rules)
+        with pytest.raises(it.TooManyBranchesError, match="exceeds 63 branches"):
+            it.perspective(s, rules, "w")
+
+    def test_equal_scenarios_keep_their_own_plans(self):
+        # labels 1 and 1.0 compare equal, so the two scenarios do too, yet
+        # each reports its own labels
+        text = ("scenario typed\nsystem S 2\nagent a record A 2 init 0\n"
+                "basis b on 2 labels 1, 2 vectors [1+0i, 0+0i] ; [0+0i, 1+0i]\n"
+                "prepare state [0.6+0i, 0.8+0i] on S\ninteract a on S basis b record A\n")
+        ints, floats = sc.parse(text), sc.parse(text.replace("labels 1, 2", "labels 1.0, 2.0"))
+        assert ints == floats
+        rules = it.RuleSet.rqm5()
+        assert [type(row[0]) for row in it.exact_joint(ints, rules)] == [int, int]
+        assert [type(row[0]) for row in it.exact_joint(floats, rules)] == [float, float]
+
+
+# a qubit copied into a record of dimension {dim}, and the record read
+BIG = """scenario big
+system S 2
+agent a record R {dim} init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S
+interact a on S basis basis1 record R
+read w record a.R result r
+"""
+
+
+class TestEntryLimit:
+    @pytest.mark.parametrize("dim,entries", [(6000, 12000 ** 2), (40000, 80000 ** 2)])
+    def test_oversized_plan_is_refused_before_allocating(self, dim, entries):
+        # 2.15 GiB and 95 GiB of premeasurement matrix
+        s = sc.parse(BIG.format(dim=dim))
+        refusal = rf"scenario 'big': event 1 builds an array of {entries} entries, over the limit of {it.ENTRY_LIMIT}"
+        tracemalloc.start()
+        try:
+            for call in (lambda rules: it.exact_joint(s, rules),
+                         lambda rules: it.run(s, rules, seed=0),
+                         lambda rules: it.predicted_distribution(s, rules, "w", "r"),
+                         lambda rules: it.perspective(s, rules, "w", after=1)):
+                for rules in RULE_VARIANTS:
+                    with pytest.raises(ValueError, match=f"^{refusal}$"):
+                        call(rules)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22
+        assert it._plans[id(s)] == {}  # validated, and no plan kept
+
+    def test_initial_vectors_count(self, monkeypatch):
+        # a record no event touches still gets an initial vector
+        monkeypatch.setattr(it, "ENTRY_LIMIT", 1000)
+        untouched = BIG.format(dim=2) + "agent b record Q {dim} init 3\n"
+        with pytest.raises(ValueError, match="the initial state of 'b.Q' builds an array of 1001 entries"):
+            it.exact_joint(sc.parse(untouched.format(dim=1001)), it.RuleSet.orthodox())
+        joint = it.exact_joint(sc.parse(untouched.format(dim=1000)), it.RuleSet.orthodox())
+        assert joint == pytest.approx({(0, 0): 0.36, (1, 1): 0.64}, abs=1e-12)
+
+    def test_concurrent_events_count_their_joint_support(self):
+        # the premeasurement and each measurement alone hold 2048^2 entries,
+        # at the limit; the concurrency check embeds both measurements on
+        # 2 x 1024 x 2 dimensions
+        text = ("scenario joint\nsystem S 2\nsystem T 2\nagent a record R 1024 init 0\nobserver w\n"
+                "prepare state [0.6+0i, 0.8+0i] on S\nprepare state [0.6+0i, 0.8+0i] on T\n"
+                "interact a on S basis basis1 record R\n"
+                "measure w on S, a.R basis basis1 result x\nmeasure w on a.R, T basis basis1 result y concurrent\n")
+        s = sc.parse(text)
+        assert it._largest_array(s, dict(sc.layout_of(s).subsystems)) == (4096 ** 2, "event 4")
+        assert 2048 ** 2 == it.ENTRY_LIMIT
+        with pytest.raises(ValueError, match="event 4 builds an array of 16777216 entries"):
+            it.exact_joint(s, it.RuleSet.orthodox())
+
+    def test_no_scenario_at_hand_comes_near_the_limit(self):
+        scenarios = [sc.parse(sc.bundled_scenario_text(name)) for name in sc.BUNDLED_SCENARIOS]
+        scenarios += [_chain(TestChain.PROBS8[:n]) for n in range(1, 9)] + _scenario_literals()
+        for s in scenarios:
+            entries, _ = it._largest_array(s, dict(sc.layout_of(s).subsystems))
+            assert entries <= it.ENTRY_LIMIT >> 10, s.name

@@ -94,13 +94,21 @@ def test_complex_literal_forms():
 
 
 def test_bare_literal_forms_direct():
-    cur = sc._Cursor(sc._tokenize("0.25-0.75i", 1), 1)
+    cur = sc._Cursor(sc._tokenize("0.25-0.75i"), 1)
     assert cur.take_complex() == complex(0.25, -0.75)
-    cur = sc._Cursor(sc._tokenize("3e-2", 1), 1)
+    cur = sc._Cursor(sc._tokenize("3e-2"), 1)
     assert cur.take_complex() == complex(0.03, 0.0)
-    cur = sc._Cursor(sc._tokenize("nope", 1), 1)
+    cur = sc._Cursor(sc._tokenize("nope"), 1)
     with pytest.raises(sc.ScenarioError):
         cur.take_complex()
+
+
+def test_every_character_but_hash_tokenizes():
+    # the token groups match at every position without "#", so the tokenizer
+    # has no unreadable character; each non-space token is kept verbatim
+    line = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c) != "#")
+    tokens = sc._tokenize(line)
+    assert "".join(tok.text for tok in tokens) == re.sub(r"\s+", "", line)
 
 
 def test_float_print_round_trips_exactly():
