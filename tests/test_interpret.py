@@ -1103,6 +1103,7 @@ class TestPlanCache:
         assert id(bad) not in it._plans
 
     def test_plans_live_as_long_as_their_scenario(self):
+        gc.collect()  # scenarios of earlier tests that only a cycle still holds
         before = len(it._plans)
         s = _chain(TestChain.PROBS[:2])
         for rules in RULE_VARIANTS:
