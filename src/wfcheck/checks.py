@@ -233,8 +233,9 @@ def epr_correlation_check(c) -> ContradictionReport:
     if abs(abs(c0) - abs(c1)) <= qcore.DISTINCT_TOL:
         raise ValueError("degenerate preparation: coefficients must be distinct")
 
-    p_orthodox = _match_probability(it.exact_joint(_pair_scenario(c0, c1, False), it.RuleSet.orthodox()))
-    p_separate = _match_probability(it.exact_joint(_pair_scenario(c0, c1, False), it.RuleSet.rqm5()))
+    separate = _pair_scenario(c0, c1, False)  # validated once for both rule sets
+    p_orthodox = _match_probability(it.exact_joint(separate, it.RuleSet.orthodox()))
+    p_separate = _match_probability(it.exact_joint(separate, it.RuleSet.rqm5()))
     p_joint = _match_probability(it.exact_joint(_pair_scenario(c0, c1, True), it.RuleSet.rqm5()))
 
     # the readout rb's distribution, alone and given each value of alice.A,

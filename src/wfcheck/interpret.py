@@ -19,8 +19,10 @@ A scenario object is validated on its first public call and compiled
 once per rule set; the plans are kept for as long as the object lives, so
 repeated calls on one scenario reuse them.  Plans are kept per object,
 not per value: two equal scenarios can report labels of different types
-(1 and 1.0 compare equal).  Only plans are kept, never a table, a walk or
-a Born distribution.  Compilation holds everything the timeline and the
+(1 and 1.0 compare equal).  A scenario that holds a list, or any other
+value that does not hash, can change after it validated; it is validated
+and compiled again on every call and nothing is kept for it.  Only plans
+are kept, never a table, a walk or a Born distribution.  Compilation holds everything the timeline and the
 rules fix: the interaction that writes each record, each interaction's
 conditioning pool, resolved from the ``partition`` events before it (the
 default pool is the agent alone), and for each event group the unitaries
@@ -106,9 +108,11 @@ dense array the plan builds would hold more than ``ENTRY_LIMIT`` complex
 entries: a subsystem's initial vector, a preparation's state, a basis
 matrix (d² over targets of dimension d), a premeasurement ((d·D)² for d
 the targets' dimension and D the record's), or the operators that the
-concurrency check embeds on two events' joint support.  The dense
-perspectives that ``run`` and ``perspective`` build over the whole layout
-are not bounded.
+concurrency check embeds on two events' joint support.  Building and
+checking a premeasurement peaks at about five times its array, so at the
+limit (256 MiB per array) a plan still compiles and runs under a 2 GB
+address space.  The dense perspectives that ``run`` and ``perspective``
+build over the whole layout are not bounded.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ from . import scenario as sc
 from .qcore import Label
 
 BRANCH_LIMIT = 1_000_000
-ENTRY_LIMIT = 1 << 22  # complex entries in the largest dense array a plan builds: 64 MiB
+ENTRY_LIMIT = 1 << 24  # complex entries in the largest dense array a plan builds: 256 MiB
 CONCURRENCY_ATOL = 1e-10
 
 RULE_KINDS = ("orthodox", "rqm5", "cpl")
@@ -329,14 +333,23 @@ _plans: dict[int, dict[RuleSet, _Compiled]] = {}
 
 
 def _plans_of(s: sc.Scenario) -> dict[RuleSet, _Compiled]:
-    """The plans kept for the scenario object ``s``, validating it on first use."""
+    """The plans kept for the scenario object ``s``, validating it on first use.
+
+    A scenario that does not hash holds a list or another mutable value, so
+    it gets a fresh dict that is not kept: it is validated on every call.
+    """
     plans = _plans.get(id(s))
     if plans is None:
         diags = sc.validate(s)
         if diags:
             msgs = "; ".join(map(str, diags))
             raise ValueError(f"scenario {s.name!r} does not validate: {msgs}")
-        plans = _plans[id(s)] = {}
+        plans = {}
+        try:
+            hash(s)
+        except TypeError:
+            return plans
+        _plans[id(s)] = plans
         weakref.finalize(s, _plans.pop, id(s), None)
     return plans
 

@@ -1123,6 +1123,19 @@ class TestPlanCache:
         with pytest.raises(it.TooManyBranchesError, match="exceeds 63 branches"):
             it.perspective(s, rules, "w")
 
+    def test_a_scenario_holding_a_list_is_validated_on_every_call(self, monkeypatch):
+        s = _chain(TestChain.PROBS[:2])
+        listed = dataclasses.replace(s, timeline=list(s.timeline))
+        calls = self._counting(monkeypatch)
+        rules = it.RuleSet.orthodox()
+        assert it.exact_joint(listed, rules) == it.exact_joint(s, rules)
+        assert calls == {"validate": 2, "compile": 2}
+        assert id(listed) not in it._plans
+        listed.timeline.append(sc.Measure("nobody", ("S1",), sc.PresetBasis("basis1"), "x"))
+        for call in (lambda: it.exact_joint(listed, rules), lambda: it.perspective(listed, rules, "w")):
+            with pytest.raises(ValueError, match="unknown observer 'nobody'"):
+                call()
+
     def test_equal_scenarios_keep_their_own_plans(self):
         # labels 1 and 1.0 compare equal, so the two scenarios do too, yet
         # each reports its own labels
@@ -1177,18 +1190,26 @@ class TestEntryLimit:
         joint = it.exact_joint(sc.parse(untouched.format(dim=1000)), it.RuleSet.orthodox())
         assert joint == pytest.approx({(0, 0): 0.36, (1, 1): 0.64}, abs=1e-12)
 
+    def test_premeasurement_at_the_limit_is_admitted(self):
+        # a qubit copied into a record of dimension 2048 needs 4096^2 entries,
+        # the limit; the array is counted, not built
+        s = sc.parse(BIG.format(dim=2048))
+        assert it._largest_array(s, dict(sc.layout_of(s).subsystems)) == (it.ENTRY_LIMIT, "event 1")
+        with pytest.raises(ValueError, match="event 1 builds an array of 16793604 entries"):
+            it.exact_joint(sc.parse(BIG.format(dim=2049)), it.RuleSet.orthodox())
+
     def test_concurrent_events_count_their_joint_support(self):
-        # the premeasurement and each measurement alone hold 2048^2 entries,
+        # the premeasurement and each measurement alone hold 4096^2 entries,
         # at the limit; the concurrency check embeds both measurements on
-        # 2 x 1024 x 2 dimensions
-        text = ("scenario joint\nsystem S 2\nsystem T 2\nagent a record R 1024 init 0\nobserver w\n"
+        # 2 x 2048 x 2 dimensions
+        text = ("scenario joint\nsystem S 2\nsystem T 2\nagent a record R 2048 init 0\nobserver w\n"
                 "prepare state [0.6+0i, 0.8+0i] on S\nprepare state [0.6+0i, 0.8+0i] on T\n"
                 "interact a on S basis basis1 record R\n"
                 "measure w on S, a.R basis basis1 result x\nmeasure w on a.R, T basis basis1 result y concurrent\n")
         s = sc.parse(text)
-        assert it._largest_array(s, dict(sc.layout_of(s).subsystems)) == (4096 ** 2, "event 4")
-        assert 2048 ** 2 == it.ENTRY_LIMIT
-        with pytest.raises(ValueError, match="event 4 builds an array of 16777216 entries"):
+        assert it._largest_array(s, dict(sc.layout_of(s).subsystems)) == (8192 ** 2, "event 4")
+        assert 4096 ** 2 == it.ENTRY_LIMIT
+        with pytest.raises(ValueError, match="event 4 builds an array of 67108864 entries"):
             it.exact_joint(s, it.RuleSet.orthodox())
 
     def test_no_scenario_at_hand_comes_near_the_limit(self):
@@ -1196,4 +1217,4 @@ class TestEntryLimit:
         scenarios += [_chain(TestChain.PROBS8[:n]) for n in range(1, 9)] + _scenario_literals()
         for s in scenarios:
             entries, _ = it._largest_array(s, dict(sc.layout_of(s).subsystems))
-            assert entries <= it.ENTRY_LIMIT >> 10, s.name
+            assert entries <= it.ENTRY_LIMIT >> 12, s.name
