@@ -117,6 +117,9 @@ def cpl_probability_check(c, r_a: int) -> ContradictionReport:
         raise ValueError(f"coefficients are not normalized: squared norm {norm!r}")
     if not 0 <= r_a < d:
         raise ValueError(f"record value index {r_a} out of range for {d} outcomes")
+    if (d * d) ** 2 > it.ENTRY_LIMIT:
+        raise ValueError(f"{d} outcomes build a premeasurement of {(d * d) ** 2} entries, "
+                         f"over the limit of {it.ENTRY_LIMIT}")
 
     layout_s = qcore.SpaceLayout((("S", d),))
     layout_a = qcore.SpaceLayout((("A", d),))

@@ -56,6 +56,20 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _sample_count(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value >= 1 << 63:  # the multinomial draws int64 counts
+        raise argparse.ArgumentTypeError("must be below 2**63")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # JSON has no NaN or Infinity
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wfcheck", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"wfcheck {__version__}")
@@ -69,10 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--rules", required=True, choices=it.RULE_KINDS)
     p_run.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_run.add_argument("--samples", type=_nonnegative_int, default=0,
+    p_run.add_argument("--samples", type=_sample_count, default=0,
                        help="0 reports the exact distribution only; N>0 adds multinomial tallies")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
-    p_run.add_argument("--tolerance", type=float, default=checks.VERDICT_TOL,
+    p_run.add_argument("--tolerance", type=_finite_float, default=checks.VERDICT_TOL,
                        help="Born weight at or below which a pinned readout is flagged")
     p_run.set_defaults(func=cmd_run)
 
@@ -136,10 +150,9 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
     scenario = _read_scenario(args.file)
     rules = it.RuleSet(args.rules)
     try:
-        # _read_scenario validated it; one compiled plan serves both
-        comp = it._compile(scenario, rules)
-        result = it._run(comp, args.seed)
-        joint = it._exact_joint(comp)
+        # the table reuses the plan the run compiled
+        result = it.run(scenario, rules, args.seed)
+        joint = it.exact_joint(scenario, rules)
     except (ValueError, it.TooManyBranchesError) as exc:
         raise _Failure(EXIT_USAGE, f"{args.file}: {exc}") from exc
     keys = it.outcome_keys(scenario)

@@ -22,10 +22,12 @@ not per value: two equal scenarios can report labels of different types
 (1 and 1.0 compare equal).  A scenario that holds a list, or any other
 value that does not hash, can change after it validated; it is validated
 and compiled again on every call and nothing is kept for it.  Only plans
-are kept, never a table, a walk or a Born distribution.  Compilation holds everything the timeline and the
-rules fix: the interaction that writes each record, each interaction's
-conditioning pool, resolved from the ``partition`` events before it (the
-default pool is the agent alone), and for each event group the unitaries
+are kept, never a table, a walk or a Born distribution.
+
+Compilation holds everything the timeline and the rules fix: the
+interaction that writes each record, each interaction's conditioning
+pool, resolved from the ``partition`` events before it (the default pool
+is the agent alone), and for each event group the unitaries
 that act before any outcome is drawn (concurrent events are checked to
 commute there, once), the relative facts it draws, and its outcome steps
 in event order.  The rules decide those once per event: under
@@ -52,13 +54,14 @@ join one block when an event acts on them together, a draw's pool holds
 their facts, or a concurrent group holds their events, so no outcome of
 one block depends on another block's (chain(n), n friends each copying
 their own system, is n blocks).  Each block keeps its groups, its slots
-and its own leaf bound.  ``exact_joint`` walks each block once, on its
-own, and combines the blocks' leaves: rows come in the single walk's
-order, lexicographic over the slots by the rank of each outcome among
-its siblings, and each row's weight multiplies its per-slot
-probabilities in slot order (a pin's is 1.0), so the table equals the
-one a walk over the whole plan folds, bit for bit.  ``run`` and
-``perspective`` walk the whole plan.
+and its own leaf bound.  Every table comes from the block combine, for
+one block or many: ``exact_joint`` and ``predicted_distribution`` walk
+each block once, on its own, and combine the blocks' leaves.  Rows come
+in the single walk's order, lexicographic over the slots by the rank of
+each outcome among its siblings, and each row's weight multiplies its
+per-slot probabilities in slot order (a pin's is 1.0), so the table
+equals the one a walk over the whole plan folds, bit for bit.  ``run``
+and ``perspective`` walk the whole plan.
 
 The global state is kept factored: ``StateVector`` factors over
 disjoint sets of subsystems, one per subsystem at the start, held in a
@@ -94,9 +97,9 @@ reach.  Past that limit, ``predicted_distribution`` combines only the
 blocks that draw its result and its conditioning keys, and is refused
 only when the product of their bounds exceeds the limit; within it, the
 marginal is folded from the whole table, equal bit for bit to one folded
-from ``exact_joint``.  A relative fact or a default readout reaches its record's writer
-labels (pointer cells only once an event has measured the record in
-another basis).  A pinned readout reaches one label, and so does a
+from ``exact_joint``.  A relative fact or a default readout reaches its
+record's writer labels (pointer cells only once an event has measured the
+record in another basis).  A pinned readout reaches one label, and so does a
 default readout of a record that an ``orthodox`` collapse or an earlier
 default readout left on one pointer.  Any other step reaches every label
 of its basis.  Pruning of zero-probability outcomes is not foreseen, so
@@ -868,10 +871,7 @@ def _walk(comp: _Compiled, block: _Block | None = None, chooser=None) -> Iterato
 
 def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
     """Sample a single history; identical (scenario, rules, seed) gives identical output."""
-    return _run(_plan(s, rules), seed)
-
-
-def _run(comp: _Compiled, seed: int) -> RunResult:
+    comp = _plan(s, rules)
     rng = random.Random(seed)
 
     def chooser(children: list[_Branch]) -> _Branch:
@@ -974,21 +974,11 @@ def outcome_keys(s: sc.Scenario) -> tuple[str, ...]:
 
 def exact_joint(s: sc.Scenario, rules: RuleSet) -> dict[tuple[Label, ...], float]:
     """Exact joint distribution over all outcome variables, keyed per outcome_keys."""
-    return _exact_joint(_plan(s, rules))
-
-
-def _exact_joint(comp: _Compiled) -> dict[tuple[Label, ...], float]:
+    comp = _plan(s, rules)
     # a row is a leaf's labels in outcome_keys order; the plan holds that order
     # as a permutation of the slots (of at least two, else it is the identity)
     point = None if comp.point_order is None else operator.itemgetter(*comp.point_order)
-    if len(comp.blocks) > 1:
-        return _combined(comp, comp.blocks, point)
-    out: dict[tuple[Label, ...], float] = {}
-    for _, probs, labels, _ in _walk(comp):
-        if point is not None:
-            labels = point(labels)
-        out[labels] = out.get(labels, 0.0) + _weight(probs)
-    return out
+    return _combined(comp, comp.blocks, point)
 
 
 def _combined(comp: _Compiled, blocks: tuple[_Block, ...], point=None) -> dict[tuple[Label, ...], float]:
@@ -998,8 +988,10 @@ def _combined(comp: _Compiled, blocks: tuple[_Block, ...], point=None) -> dict[t
     child rank, and each row's weight multiplies its per-slot probabilities
     in slot order, so on every block the values and the order equal the
     single walk's bit for bit.  A row is the labels in slot order, or
-    ``point`` of them."""
+    ``point`` of them; without blocks it is one empty row of weight 1.0."""
     _refuse_over_limit(comp, prod(block.leaf_bound for block in blocks))
+    if not blocks:
+        return {(): 1.0}
     owner = [b for _, b in sorted((at, b) for b, block in enumerate(blocks) for at in block.slots)]
     last = len(owner) - 1
     # nodes[k] is slot k's node in its block's tree along the current row,
@@ -1038,8 +1030,9 @@ def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[dict]:
         leaves = [[(labels, probs) for _, probs, labels, _ in _walk(comp, block)] for block in blocks]
     except ValueError as exc:
         # the single walk over the whole plan meets the blocks' errors in its
-        # own order: raise the first it meets, when the plan's bound lets it run
-        if comp.leaf_bound <= BRANCH_LIMIT:
+        # own order: raise the first it meets, when the plan's bound lets it
+        # run; a lone block's walk meets them in that order already
+        if len(blocks) > 1 and comp.leaf_bound <= BRANCH_LIMIT:
             for _ in _walk(comp):
                 pass
         raise exc
@@ -1101,16 +1094,14 @@ def predicted_distribution(
             raise ValueError(f"conditioning on an unwritten record: {key!r}")
 
     comp = _plan(s, rules)
-    if comp.leaf_bound <= BRANCH_LIMIT or len(comp.blocks) < 2:
-        # a fold of the whole table, so the marginal equals one folded from
-        # exact_joint bit for bit: every leaf is one row, as sibling outcomes
-        # differ, and the rows come in the same order
-        return _conditional_marginal(_exact_joint(comp), outcome_keys(s), result, conditioning)
-    # past the limit, only the blocks that draw the result or a conditioning
-    # key, bounded by their own leaf bounds; their rows come in slot order,
-    # and each label first appears where it does in the whole table
-    wanted = {result, *conditioning}
-    blocks = tuple(block for block in comp.blocks if any(comp.slots[at] in wanted for at in block.slots))
+    # within the limit, the whole table in exact_joint's row order, so the
+    # marginal equals one folded from exact_joint bit for bit; past it, only
+    # the blocks that draw the result or a conditioning key, bounded by their
+    # own leaf bounds, where each label first appears as in the whole table
+    blocks = comp.blocks
+    if comp.leaf_bound > BRANCH_LIMIT:
+        wanted = {result, *conditioning}
+        blocks = tuple(block for block in blocks if any(comp.slots[at] in wanted for at in block.slots))
     keys = tuple(comp.slots[at] for at in sorted(at for block in blocks for at in block.slots))
     return _conditional_marginal(_combined(comp, blocks), keys, result, conditioning)
 

@@ -1,7 +1,9 @@
 """CLI contract: exit codes, byte determinism, text/json numeric agreement."""
 
+import gc
 import json
 import math
+import tracemalloc
 import os
 import subprocess
 import sys
@@ -167,6 +169,36 @@ class TestRunCommand:
         code, out, err = invoke(capsys, "run", str(SCENARIOS / "epr.wfs"),
                                 "--rules", "rqm5", "--seed", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
+    def test_rejects_non_finite_tolerance(self, capsys, value):
+        # JSON has no NaN or Infinity; --tolerance=-inf keeps argparse from
+        # reading the value as an option
+        code, out, err = invoke(capsys, "run", str(SCENARIOS / "cpl.wfs"), "--rules", "cpl",
+                                "--format", "json", f"--tolerance={value}")
+        assert code == 1
+        assert out == ""
+        assert err.endswith("error: argument --tolerance: must be a finite number\n")
+
+    def test_rejects_sample_counts_from_2_63(self, capsys):
+        base = ("run", str(SCENARIOS / "epr.wfs"), "--rules", "rqm5", "--format", "json")
+        for samples in (2 ** 63, 10 ** 20):
+            code, out, err = invoke(capsys, *base, "--samples", str(samples))
+            assert code == 1
+            assert out == ""
+            assert err.endswith("error: argument --samples: must be below 2**63\n")
+        code, doc, _ = run_json(capsys, *base, "--samples", str(2 ** 63 - 1))
+        assert code == 0
+        assert sum(row["count"] for row in doc["result"]["sampled"]["rows"]) == 2 ** 63 - 1
+
+    @pytest.mark.parametrize("rules", it.RULE_KINDS)
+    def test_runs_keep_no_plans(self, capsys, rules):
+        gc.collect()  # scenarios of earlier tests that only a cycle still holds
+        before = len(it._plans)
+        for name in ("epr", "cpl", "ghz"):
+            assert invoke(capsys, "run", str(SCENARIOS / f"{name}.wfs"), "--rules", rules)[0] == 0
+        gc.collect()
+        assert len(it._plans) == before
 
     def test_exact_table_matches_engine(self, capsys):
         code, doc, err = run_json(capsys, "run", str(SCENARIOS / "epr.wfs"),
@@ -473,6 +505,23 @@ class TestCheckCommand:
         assert code == 1
         assert out == ""
         assert fragment in err
+
+    def test_oversized_cpl_is_refused_before_allocating(self, capsys):
+        # 65 outcomes need a 4225 x 4225 premeasurement (272 MiB); 64 is the
+        # largest the entry limit admits
+        probabilities = ",".join([str(1 / 65)] * 65)
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, "check", "cpl", "--c", probabilities)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == (f"check cpl: 65 outcomes build a premeasurement of {65 ** 4} entries, "
+                       f"over the limit of {it.ENTRY_LIMIT}\n")
+        assert peak < 1 << 22
+        assert (64 * 64) ** 2 <= it.ENTRY_LIMIT < 65 ** 4
 
     def test_text_and_json_agree_numerically(self, capsys):
         args = ("check", "epr", "--c", "0.3,0.7")
