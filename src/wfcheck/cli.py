@@ -49,8 +49,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# argparse names the type function in its message for any other error than
+# ArgumentTypeError, so a failed conversion raises that too
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be a nonnegative integer")
     return value
@@ -64,7 +69,10 @@ def _sample_count(text: str) -> int:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a finite number") from None
     if not math.isfinite(value):  # JSON has no NaN or Infinity
         raise argparse.ArgumentTypeError("must be a finite number")
     return value
@@ -96,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated outcome probabilities; square roots are taken internally")
     p_check.add_argument("--ra", type=int, default=None,
                          help="record index the readout is pinned to (cpl only)")
-    p_check.add_argument("--fact-holder", choices=it.FACT_HOLDERS, default="agent",
+    p_check.add_argument("--fact-holder", choices=it.FACT_HOLDERS, default=None,
                          help="which parties the interaction outcome is a fact for (ghz only)")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.set_defaults(func=cmd_check)
@@ -204,8 +212,10 @@ def _dispatch_check(args: argparse.Namespace):
     if args.name == "ghz":
         if args.c is not None or args.ra is not None:
             raise ValueError("the ghz analysis takes no state parameters")
-        report = checks.ghz_check(args.fact_holder)
-        return report, {"fact_holder": args.fact_holder}
+        fact_holder = args.fact_holder or "agent"
+        return checks.ghz_check(fact_holder), {"fact_holder": fact_holder}
+    if args.fact_holder is not None:
+        raise ValueError("--fact-holder applies to the ghz analysis only")
     probabilities = _parse_probabilities(args.c if args.c is not None else "0.3,0.7")
     amplitudes = [math.sqrt(p) for p in probabilities]
     parameters = {"probabilities": probabilities, "amplitudes": amplitudes}

@@ -24,10 +24,10 @@ value that does not hash, can change after it validated; it is validated
 and compiled again on every call and nothing is kept for it.  Only plans
 are kept, never a table, a walk or a Born distribution.
 
-Compilation holds everything the timeline and the rules fix: the
-interaction that writes each record, each interaction's conditioning
-pool, resolved from the ``partition`` events before it (the default pool
-is the agent alone), and for each event group the unitaries
+Compilation holds everything the timeline and the rules fix: the initial
+state, the interaction that writes each record, each interaction's
+conditioning pool, resolved from the ``partition`` events before it (the
+default pool is the agent alone), and for each event group the unitaries
 that act before any outcome is drawn (concurrent events are checked to
 commute there, once), the relative facts it draws, and its outcome steps
 in event order.  The rules decide those once per event: under
@@ -39,21 +39,26 @@ facts, then its steps), so the plan also fixes the outcome slots: each
 outcome's key (its record key for an agent fact, its result name for an
 outside result), the slots of each draw's pool facts and of each pin's
 record, and the permutation that puts a history's labels in
-``outcome_keys`` order.  A run is then a tree of branches, each carrying
-only what one history fixes: the global state (projected only by
-collapsing steps), the labels drawn so far in slot order, the pins
-applied, and the probability of each outcome drawn, whose product in
-slot order is the branch's weight: the joint probability of its history.
-Every group expands through one routine and one loop of outcome steps, a
-single event being a group of one.  The tree is walked depth first,
-children in expansion order, so each leaf goes straight to its consumer
-and leaves come in the order a breadth-first expansion lists them.
+``outcome_keys`` order.  A preparation draws nothing: validation keeps its
+targets untouched until it (and never makes it concurrent), so the plan's
+initial state holds every preparation's state and the groups hold only
+interactions and outcome steps.  A run is then a tree of branches from that
+state, each carrying only what one history fixes: the global state
+(projected only by collapsing steps), the labels drawn so far in slot
+order, the pins applied, and the probability of each outcome drawn, whose
+product in slot order is the branch's weight: the joint probability of its
+history.  Every group expands through one routine and one loop of outcome
+steps, a single event being a group of one.  The tree is walked depth
+first, children in expansion order, so each leaf goes straight to its
+consumer and leaves come in the order a breadth-first expansion lists
+them; ``run`` follows one sampled child of each group through the same
+expansion.
 
 The plan is also split into independent blocks.  Subsystems and records
-join one block when an event acts on them together, a draw's pool holds
-their facts, or a concurrent group holds their events, so no outcome of
-one block depends on another block's (chain(n), n friends each copying
-their own system, is n blocks).  Each block keeps its groups, its slots
+join one block when one preparation or one event acts on them together, a
+draw's pool holds their facts, or a concurrent group holds their events,
+so no outcome of one block depends on another block's (chain(n), n
+friends each copying their own system, is n blocks).  Each block keeps its groups, its slots
 and its own leaf bound.  Every table comes from the block combine, for
 one block or many: ``exact_joint`` and ``predicted_distribution`` walk
 each block once, on its own, and combine the blocks' leaves.  Rows come
@@ -61,24 +66,24 @@ in the single walk's order, lexicographic over the slots by the rank of
 each outcome among its siblings, and each row's weight multiplies its
 per-slot probabilities in slot order (a pin's is 1.0), so the table
 equals the one a walk over the whole plan folds, bit for bit.  ``run``
-and ``perspective`` walk the whole plan.
+follows the whole plan and ``perspective`` walks it.
 
 The global state is kept factored: ``StateVector`` factors over
-disjoint sets of subsystems, one per subsystem at the start, held in a
-tuple with one entry per layout position (the factor holding that
-subsystem), so finding and replacing the factors an event touches costs
-the size of its support, not the number of factors.  A
-preparation replaces the factors of its fresh targets; an interaction,
-measurement, readout or conditioning merges only the factors its
-support touches and runs the kernel on that merge.  A projection onto a
-pointer state splits the measured targets back off, exactly, unless a
-later event joins them with other subsystems again.  Kernel work is
-shared per factor within a group: a factor a group leaves alone is one
-object in every branch, and each distinct factor is evolved, measured
-and projected once (its Born distribution in a basis once per walk).
-Perspectives are built dense, over the whole layout
-in declaration order (the design follows the product-state simulators
-of Cirq, https://github.com/quantumlib/Cirq).
+disjoint sets of subsystems, held in a tuple with one entry per layout
+position (the factor holding that subsystem), so finding and replacing the
+factors an event touches costs the size of its support, not the number of
+factors.  At the start each preparation's targets share its factor and
+every other subsystem is its own.  An interaction, measurement, readout or
+conditioning merges only the factors its support touches and runs the
+kernel on that merge.  A projection onto a pointer state splits the
+measured targets back off, exactly, unless a later event joins them with
+other subsystems again.  Kernel work is shared per factor within a walk,
+through one memo keyed by the factors and the event or basis the work is
+for: a factor a group leaves alone is one object in every branch, and each
+distinct factor is evolved, measured and projected once, its Born
+distribution in a basis once.  Perspectives are built dense, over the
+whole layout in declaration order (the design follows the product-state
+simulators of Cirq, https://github.com/quantumlib/Cirq).
 
 Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born rule on
 the branch state conditioned on the pool's facts from earlier groups.
@@ -125,7 +130,7 @@ import itertools
 import operator
 import random
 import weakref
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import prod
 from typing import Union
@@ -233,12 +238,6 @@ class RunResult:
 
 
 @dataclass(frozen=True)
-class _CPrepare:
-    index: int
-    state: qcore.StateVector  # replaces the fresh targets' factors
-
-
-@dataclass(frozen=True)
 class _CInteract:
     index: int
     agent: str
@@ -261,14 +260,14 @@ class _CMeasure:
     pin: str | None  # record a cpl link pins: set under cpl for default pointer-basis readouts only
 
 
-_CEvent = Union[_CPrepare, _CInteract, _CMeasure]
+_CEvent = Union[_CInteract, _CMeasure]
 
 
 @dataclass(frozen=True)
 class _Group:
     """One event group as the branch engine expands it under the plan's rules."""
 
-    dynamics: tuple[Union[_CPrepare, _CInteract], ...]  # all act before any outcome is drawn
+    dynamics: tuple[_CInteract, ...]  # all act before any outcome is drawn
     # relative facts, rqm5/cpl only, each with the (slot, record key) of
     # every fact from an earlier group held in its pool
     draws: tuple[tuple[_CInteract, tuple[tuple[int, str], ...]], ...]
@@ -292,8 +291,8 @@ class _Compiled:
     rules: RuleSet
     layout: qcore.SpaceLayout
     order: dict[str, int]  # subsystem id -> its position in the layout
-    initial: tuple[qcore.StateVector, ...]  # one factor per subsystem
-    events: tuple[_CEvent, ...]  # partitions excluded; they only set pools
+    initial: tuple[qcore.StateVector, ...]  # per layout position: its preparation's factor, else its pointer
+    events: tuple[_CEvent, ...]  # preparations and partitions excluded
     groups: tuple[_Group, ...]
     writers: dict[str, _CInteract]  # record key -> the interaction that writes it
     intact_records: frozenset[str]  # written records no later event measures or reads
@@ -301,7 +300,7 @@ class _Compiled:
     slots: tuple[str, ...]  # outcome keys in the order every branch draws them
     point_order: tuple[int, ...] | None  # slots in outcome_keys order; None when that is slot order
     leaf_bound: int  # product over outcomes of the labels each can reach
-    blocks: tuple[_Block, ...]  # the independent parts that draw outcomes, by first slot
+    blocks: tuple[_Block, ...]  # the independent parts, by first slot
 
 
 def _state_amplitudes(expr: sc.StateExpr) -> np.ndarray:
@@ -410,10 +409,10 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
                          f"over the limit of {ENTRY_LIMIT}")
     order = {sid: i for i, sid in enumerate(layout.ids)}
     record_init = {sc.record_key(a.name, r.name): r.init for a in s.agents for r in a.records}
-    initial = tuple(
-        qcore.StateVector(layout.sublayout((sid,)), _pointer(dim, record_init.get(sid, 0)))
+    initial = {
+        sid: qcore.StateVector(layout.sublayout((sid,)), _pointer(dim, record_init.get(sid, 0)))
         for sid, dim in layout.subsystems
-    )
+    }
 
     pools: dict[str, frozenset[str]] = {}
     writers: dict[str, _CInteract] = {}
@@ -437,9 +436,12 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
                 pools.update(dict.fromkeys(members, frozenset(members)))
             continue
         if isinstance(ev, sc.Prepare):
+            # validation keeps the targets untouched until here: every branch starts prepared
             prepared = qcore.StateVector(layout.sublayout(ev.targets), _state_amplitudes(ev.state))
-            cev: _CEvent = _CPrepare(i, qcore.permute(prepared, sorted(ev.targets, key=order.get)))
-        elif isinstance(ev, sc.Interact):
+            prepared = qcore.permute(prepared, sorted(ev.targets, key=order.get))
+            initial.update(dict.fromkeys(ev.targets, prepared))
+            continue
+        if isinstance(ev, sc.Interact):
             targets = tuple((t, dims[t]) for t in ev.targets)
             bspec = _basis_spec(s, ev.basis, targets)
             key = sc.record_key(ev.agent, ev.record)
@@ -489,7 +491,7 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     for evs in grouped:
         if len(evs) > 1:
             _check_commuting(layout, evs)
-        dynamics = tuple(ev for ev in evs if isinstance(ev, (_CPrepare, _CInteract)))
+        dynamics = tuple(ev for ev in evs if isinstance(ev, _CInteract))
         draws = () if collapse else tuple(ev for ev in evs if isinstance(ev, _CInteract))
         # under orthodox an interaction collapses onto its record's pointer,
         # its outcome keyed by the record
@@ -521,15 +523,13 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     supports = [set(_support(ev)) for ev in events]
     rejoined = set()
     for i, ev in enumerate(events):
-        if isinstance(ev, _CPrepare):
-            continue
         targets = set(ev.readout.target_ids) if isinstance(ev, _CInteract) else supports[i]
         if any(support & targets and support - targets for support in supports[i + 1:]):
             rejoined.add(ev.index)
-    return _Compiled(s.name, tuple(_observer_names(s)), rules, layout, order, initial, tuple(events),
+    return _Compiled(s.name, tuple(_observer_names(s)), rules, layout, order, tuple(initial.values()), tuple(events),
                      tuple(groups), writers, frozenset(intact), frozenset(rejoined), tuple(slots),
                      None if point_order == tuple(range(len(slots))) else point_order,
-                     prod(counts.values()), _blocks(layout.ids, groups, spans, [counts[key] for key in slots]))
+                     prod(counts.values()), _blocks(initial.values(), groups, spans, [counts[key] for key in slots]))
 
 
 def _pointer(dim: int, k: int) -> np.ndarray:
@@ -539,31 +539,33 @@ def _pointer(dim: int, k: int) -> np.ndarray:
     return vec
 
 
-def _blocks(ids: tuple[str, ...], groups: list[_Group], spans: list[range], counts: list[int]) -> tuple[_Block, ...]:
-    """The plan's groups partitioned into independent blocks, keeping the
-    blocks that draw outcomes.  Subsystems and records join a block when one
-    event acts on them together, a draw's pool holds their facts, or a
-    concurrent group holds their events."""
-    parent = {sid: sid for sid in ids}
+def _blocks(
+    initial: Iterable[qcore.StateVector], groups: list[_Group], spans: list[range], counts: list[int],
+) -> tuple[_Block, ...]:
+    """The plan's groups partitioned into independent blocks.  Subsystems and
+    records join a block when they start in one prepared factor, one event
+    acts on them together, a draw's pool holds their facts, or a concurrent
+    group holds their events."""
+    # each subsystem starts in the set of its initial factor's first subsystem
+    parent = {sid: factor.layout.ids[0] for factor in initial for sid in factor.layout.ids}
 
     def find(sid: str) -> str:
         while parent[sid] != sid:
             parent[sid] = sid = parent[parent[sid]]
         return sid
 
-    members: list[str | None] = []  # a subsystem of each group; None for a preparation on no target
+    members: list[str] = []  # a subsystem of each group
     for group in groups:
         coupled = [sid for ev in group.dynamics for sid in _support(ev)]
         coupled += [sid for step, _ in group.steps for sid in step.spec.target_ids]
         coupled += [key for _, pool in group.draws for _, key in pool]
         for sid in coupled[1:]:
             parent[find(sid)] = find(coupled[0])
-        members.append(coupled[0] if coupled else None)
-    # one part per block that draws outcomes, in the order of its first slot
-    parts = {find(sid): [] for g, sid in enumerate(members) if spans[g]}
+        members.append(coupled[0])
+    # one part per block, in the order of its first slot: every group draws
+    parts: dict[str, list[int]] = {}
     for g, sid in enumerate(members):
-        if sid is not None and (part := parts.get(find(sid))) is not None:
-            part.append(g)
+        parts.setdefault(find(sid), []).append(g)
     blocks = []
     for part in parts.values():
         at = [slot for g in part for slot in spans[g]]
@@ -617,10 +619,10 @@ def _product(state: _State, order: dict[str, int]) -> qcore.StateVector:
     return qcore.StateVector(qcore.SpaceLayout(tuple(subsystems[a] for a in perm)), amps)
 
 
-def _shared(memo: dict, nodes: _State, key: tuple, work, *args):
-    """``work(*args)`` once per group for the factors ``nodes`` and ``key``.
-    Factors compare by identity, and a factor a group leaves alone is one
-    object in every branch."""
+def _shared(memo: dict, nodes: _State, key, work, *args):
+    """``work(*args)`` once per walk for the factors ``nodes`` and ``key``, its
+    event or basis.  Factors compare by identity, and a factor a group leaves
+    alone is one object in every branch."""
     k = (nodes, key)
     out = memo.get(k, memo)
     if out is memo:
@@ -647,9 +649,9 @@ def _with(comp: _Compiled, state: _State, parts: _State) -> _State:
 
 
 def _born(memo: dict, factor: qcore.StateVector, spec: qcore.BasisSpec) -> dict[Label, float]:
-    # kept for the whole walk: under rqm5 a relative fact and a later readout
-    # of its record measure the same factor in the same basis
-    return _shared(memo["born"], (factor,), id(spec), qcore.born_distribution, factor, spec)
+    # under rqm5 a relative fact and a later readout of its record measure
+    # the same factor in the same basis
+    return _shared(memo, (factor,), id(spec), qcore.born_distribution, factor, spec)
 
 
 def _collapsed(
@@ -688,15 +690,11 @@ def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerE
 
 
 def _evolve(memo: dict, comp: _Compiled, state: _State, group: _Group) -> _State:
-    """The group's preparations and unitaries, in event order."""
+    """The group's interaction unitaries, in event order."""
     for ev in group.dynamics:
-        if isinstance(ev, _CPrepare):
-            # the targets are fresh, each still its own initial factor
-            state = _with(comp, state, (ev.state,))
-        else:
-            factor = _touch(memo, comp, state, ev.unitary.layout.ids)
-            evolved = _shared(memo, (factor,), ("apply", ev.index), qcore.apply_local, factor, ev.unitary)
-            state = _with(comp, state, (evolved,))
+        factor = _touch(memo, comp, state, ev.unitary.layout.ids)
+        evolved = _shared(memo, (factor,), ("apply", ev.index), qcore.apply_local, factor, ev.unitary)
+        state = _with(comp, state, (evolved,))
     return state
 
 
@@ -762,9 +760,7 @@ def _pin(memo: dict, comp: _Compiled, factor: qcore.StateVector, ev: _CMeasure, 
 def _support(ev: _CEvent) -> tuple[str, ...]:
     if isinstance(ev, _CInteract):
         return ev.unitary.layout.ids
-    if isinstance(ev, _CMeasure):
-        return ev.spec.target_ids
-    return ev.state.layout.ids
+    return ev.spec.target_ids
 
 
 def _operators(ev: _CEvent) -> Iterator[tuple[np.ndarray, tuple[str, ...]]]:
@@ -810,7 +806,7 @@ def _expand_group(comp: _Compiled, group: _Group, branch: _Branch, memo: dict) -
     state, probs, labels, pins = branch
     # dynamics first: all unitaries act before any outcome is drawn
     if group.dynamics:
-        state = _shared(memo, state, ("evolve",), _evolve, memo, comp, state, group)
+        state = _shared(memo, state, ("evolve", group.dynamics[0].index), _evolve, memo, comp, state, group)
     children = [(state, probs, labels, pins)]
     # simultaneous facts: each conditional sees pre-group facts only
     for ev, pool in group.draws:
@@ -834,35 +830,24 @@ def _refuse_over_limit(comp: _Compiled, leaf_bound: int) -> None:
         raise TooManyBranchesError(f"scenario {comp.name!r} exceeds {BRANCH_LIMIT} branches")
 
 
-def _walk(comp: _Compiled, block: _Block | None = None, chooser=None) -> Iterator[_Branch]:
+def _walk(comp: _Compiled, block: _Block | None = None) -> Iterator[_Branch]:
     """The leaves of the branch tree of the whole plan, or of one block,
-    depth first.  Children are visited in the order a group expands them, so
-    the leaves come in the order of a breadth-first expansion; each group
-    keeps one memo for the whole walk.  With a chooser, follow a single
-    sampled path; without one, refuse a tree whose leaf bound exceeds
-    ``BRANCH_LIMIT`` before expanding anything."""
+    depth first, from the prepared initial state.  Children are visited in
+    the order a group expands them, so the leaves come in the order of a
+    breadth-first expansion.  One memo serves the whole walk: step results
+    per state node, kernel work per factor.  A tree whose leaf bound exceeds
+    ``BRANCH_LIMIT`` is refused before anything is expanded."""
     plan = comp if block is None else block
-    if chooser is None:
-        _refuse_over_limit(comp, plan.leaf_bound)
+    _refuse_over_limit(comp, plan.leaf_bound)
     groups = plan.groups
-    depth = len(groups)
-    if not depth:
-        yield comp.initial, (), (), ()
-        return
-    # step results per state node and kernel work per factor, one memo per
-    # group, plus Born distributions per factor for the whole walk
-    born: dict = {}
-    memos: list[dict] = [{"born": born} for _ in groups]
+    memo: dict = {}
     stack: list[tuple[int, _Branch]] = [(0, (comp.initial, (), (), ()))]
     while stack:
         g, branch = stack.pop()
-        children = _expand_group(comp, groups[g], branch, memos[g])
-        if chooser is not None:
-            children = [chooser(children)]
-        if g + 1 == depth:
-            yield from children
+        if g == len(groups):
+            yield branch
         else:
-            stack.extend((g + 1, child) for child in reversed(children))
+            stack.extend((g + 1, child) for child in reversed(_expand_group(comp, groups[g], branch, memo)))
 
 
 # ---------------------------------------------------------------------------
@@ -886,9 +871,12 @@ def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
                 return c
         return children[-1]
 
-    state, _, labels, pins = next(_walk(comp, chooser=chooser))
+    memo: dict = {}  # serves the sampled path and the perspectives
+    branch: _Branch = (comp.initial, (), (), ())
+    for group in comp.groups:
+        branch = chooser(_expand_group(comp, group, branch, memo))
+    state, _, labels, pins = branch
     outcomes = tuple(zip(comp.slots, labels))
-    memo: dict = {}
     perspectives = {
         name: _branch_perspective(comp, state, outcomes, name, memo)
         for name in comp.observers
@@ -1026,8 +1014,17 @@ def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[dict]:
     """Each block's branch tree, one node per drawn outcome: a node maps each
     child's label to (p, node), in the order the walk expands them (sibling
     outcomes differ in their label)."""
+    trees = []
     try:
-        leaves = [[(labels, probs) for _, probs, labels, _ in _walk(comp, block)] for block in blocks]
+        for block in blocks:
+            root: dict = {}
+            for _, probs, labels, _ in _walk(comp, block):
+                node = root
+                for label, p in zip(labels, probs):
+                    if label not in node:
+                        node[label] = (p, {})
+                    node = node[label][1]
+            trees.append(root)
     except ValueError as exc:
         # the single walk over the whole plan meets the blocks' errors in its
         # own order: raise the first it meets, when the plan's bound lets it
@@ -1036,16 +1033,6 @@ def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[dict]:
             for _ in _walk(comp):
                 pass
         raise exc
-    trees = []
-    for block_leaves in leaves:
-        root: dict = {}
-        for labels, probs in block_leaves:
-            node = root
-            for label, p in zip(labels, probs):
-                if label not in node:
-                    node[label] = (p, {})
-                node = node[label][1]
-        trees.append(root)
     return trees
 
 
@@ -1079,21 +1066,16 @@ def predicted_distribution(
     conditioning: dict[str, Label] | None = None,
 ) -> dict[Label, float]:
     """Exact outcome distribution of a named result, optionally given ledger facts."""
-    binder = None
-    for ev in s.timeline:
-        if isinstance(ev, (sc.Measure, sc.ReadRecord)) and ev.result == result:
-            binder = ev
+    comp = _plan(s, rules)
+    binder = next((ev for ev in comp.events if isinstance(ev, _CMeasure) and ev.result == result), None)
     if binder is None:
         raise ValueError(f"result {result!r} is not bound by any event")
     if binder.observer != observer:
         raise ValueError(f"result {result!r} is bound by {binder.observer!r}, not {observer!r}")
     conditioning = dict(conditioning or {})
-    written = {sc.record_key(ev.agent, ev.record) for ev in s.timeline if isinstance(ev, sc.Interact)}
     for key in conditioning:
-        if key not in written:
+        if key not in comp.writers:
             raise ValueError(f"conditioning on an unwritten record: {key!r}")
-
-    comp = _plan(s, rules)
     # within the limit, the whole table in exact_joint's row order, so the
     # marginal equals one folded from exact_joint bit for bit; past it, only
     # the blocks that draw the result or a conditioning key, bounded by their
@@ -1138,6 +1120,9 @@ def perspective(
         tcomp = _compile(truncated, rules)
 
     given = dict(given or {})
+    for key in given:
+        if key not in tcomp.slots:
+            raise ValueError(f"given key {key!r} is not an outcome of the first {after + 1} events")
     kept: list[tuple[_State, float, tuple[tuple[str, Label], ...]]] = []
     known: list[dict[str, Label]] = []  # each kept leaf's outcomes
     for state, probs, labels, _ in _walk(tcomp):

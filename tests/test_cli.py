@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 import tracemalloc
 import os
 import subprocess
@@ -179,6 +180,18 @@ class TestRunCommand:
         assert code == 1
         assert out == ""
         assert err.endswith("error: argument --tolerance: must be a finite number\n")
+
+    @pytest.mark.parametrize("option,message", [
+        ("--seed", "must be a nonnegative integer"),
+        ("--samples", "must be a nonnegative integer"),
+        ("--tolerance", "must be a finite number"),
+    ])
+    def test_unparseable_values_name_no_private_function(self, capsys, option, message):
+        code, out, err = invoke(capsys, "run", str(SCENARIOS / "cpl.wfs"), "--rules", "cpl", option, "abc")
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: argument {option}: {message}\n")
+        assert not re.search(r"\b_[a-z]", err)
 
     def test_rejects_sample_counts_from_2_63(self, capsys):
         base = ("run", str(SCENARIOS / "epr.wfs"), "--rules", "rqm5", "--format", "json")
@@ -462,6 +475,8 @@ class TestCheckCommand:
                            "--format", "json")
         assert a["result"]["verdict"] == b["result"]["verdict"]
         assert a["result"]["findings"] == b["result"]["findings"]
+        assert a["result"]["parameters"] == {"fact_holder": "agent"}
+        assert b["result"]["parameters"] == {"fact_holder": "both"}
 
     def test_parameters_record_both_forms(self, capsys):
         _, doc, _ = run_json(capsys, "check", "cpl", "--c", "0.3,0.7",
@@ -499,6 +514,9 @@ class TestCheckCommand:
         (("check", "epr", "--c", "inf,0"), "check epr: probabilities must be finite"),
         # the = form keeps argparse from reading the value as an option
         (("check", "cpl", "--c=-0.3,1.3"), "check cpl: probabilities must be nonnegative"),
+        # the policy is the ghz analysis's; epr and cpl would drop it
+        (("check", "epr", "--fact-holder", "both"), "check epr: --fact-holder applies to the ghz analysis only"),
+        (("check", "cpl", "--fact-holder", "agent"), "check cpl: --fact-holder applies to the ghz analysis only"),
     ])
     def test_bad_parameters_message(self, capsys, args, fragment):
         code, out, err = invoke(capsys, *args)

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wfcheck
 from wfcheck import interpret as it
@@ -248,6 +250,15 @@ class TestPerspectives:
         s = sc.parse(GHZ)
         with pytest.raises(ValueError, match="concurrent group"):
             it.perspective(s, it.RuleSet.rqm5(), "wigner", after=4)
+
+    @pytest.mark.parametrize("key,after", [("nosuch", None), ("rb", 1)])
+    def test_given_key_must_be_an_outcome_by_after(self, key, after, monkeypatch):
+        # refused by name before any branch is expanded
+        def expand(*_):
+            raise AssertionError("walked")
+        monkeypatch.setattr(it, "_expand_group", expand)
+        with pytest.raises(ValueError, match=f"given key {key!r} is not an outcome"):
+            it.perspective(sc.parse(READBACK), it.RuleSet.rqm5(), "bob", after=after, given={key: 0})
 
     def test_impossible_given_rejected(self):
         s = sc.parse(READBACK)
@@ -1008,6 +1019,85 @@ def test_errors_are_the_single_walks_first():
     with pytest.raises(qcore.ZeroProbabilityError) as info:
         it.predicted_distribution(s, rules, "w", "ra")
     assert str(info.value) == str(walked.value)
+
+
+PAIR_STATES = ("schmidt(0.6, 0.8)", "schmidt(0.28, 0.96)",
+               "state [0.6+0i, 0+0i, 0+0.48i, 0.64+0i]", "state [0.5+0i, 0.5+0i, 0.5+0i, -0.5+0i]")
+
+
+@st.composite
+def _paired_scenarios(draw):
+    """Two or three qubit pairs, each coupled only by its joint preparation:
+    agent ai or bi copies the pair's side a or b in basis1 or basis3, w reads
+    the records (in the pointer basis or basis2) and measures the systems,
+    and a partition may put two agents in one pool.  Events come in shuffled
+    order, each after the preparation and the write it needs."""
+    pairs = draw(st.integers(2, 3))
+    lines = ["scenario paired"] + [f"system P{i}{side} 2" for i in range(pairs) for side in "ab"]
+    lines += [f"agent {side}{i} record R 2 init 0" for i in range(pairs) for side in "ab"] + ["observer w"]
+    events = []  # (line, what it provides, what it needs)
+    for i in range(pairs):
+        events.append((f"prepare {draw(st.sampled_from(PAIR_STATES))} on P{i}a, P{i}b", f"P{i}", ()))
+        actions = draw(st.lists(st.tuples(st.sampled_from(["read", "measure"]), st.sampled_from("ab")),
+                                min_size=1, max_size=2, unique=True))
+        for kind, side in actions:
+            if kind == "measure":
+                basis = draw(st.sampled_from(["basis1", "basis2", "basis3"]))
+                events.append((f"measure w on P{i}{side} basis {basis} result m{i}{side}", None, (f"P{i}",)))
+                continue
+            basis = draw(st.sampled_from(["basis1", "basis3"]))
+            events.append((f"interact {side}{i} on P{i}{side} basis {basis} record R", f"{side}{i}", (f"P{i}",)))
+            read = draw(st.sampled_from(["", " basis basis2"]))
+            events.append((f"read w record {side}{i}.R{read} result r{i}{side}", None, (f"{side}{i}",)))
+    if draw(st.booleans()):
+        agents = [f"{side}{i}" for i in range(pairs) for side in "ab"]
+        events.append((f"partition p group {', '.join(draw(st.permutations(agents))[:2])}", None, ()))
+    done: set = set()
+    waiting = []
+    for event in draw(st.permutations(events)):
+        waiting.append(event)
+        while ready := [e for e in waiting if done.issuperset(e[2])]:
+            for e in ready:
+                waiting.remove(e)
+                lines.append(e[0])
+                done.add(e[1])
+    return sc.parse("\n".join(lines) + "\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_paired_scenarios())
+def test_generated_blocks_combine_to_the_single_walk_table(s):
+    assert sc.validate(s) == []
+    keys = it.outcome_keys(s)
+    for rules in RULE_VARIANTS:
+        comp = it._plan(s, rules)
+        try:
+            want = _single_walk_table(comp)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as info:
+                it.exact_joint(s, rules)
+            assert str(info.value) == str(exc)
+            continue
+        got = it.exact_joint(s, rules)
+        assert list(got) == list(want)
+        assert all(type(got[row]) is float and got[row] == want[row] for row in want)
+        for seed in range(3):
+            result = it.run(s, rules, seed)
+            values = dict(result.results)
+            values.update((e.observable, e.outcome) for e in result.ledger.entries)
+            assert got.get(tuple(values[key] for key in keys), 0.0) > 0.0
+
+
+def test_deep_plan_answers():
+    # 1500 readouts of one record: the combine and the walk keep explicit
+    # stacks, where recursion would pass Python's limit
+    lines = ["scenario deep", "system S 2", "agent a record A 2 init 0", "observer w",
+             "prepare state [0.6+0i, 0.8+0i] on S", "interact a on S basis basis1 record A"]
+    lines += [f"read w record a.A result r{k}" for k in range(1500)]
+    joint = it.exact_joint(sc.parse("\n".join(lines) + "\n"), it.RuleSet.orthodox())
+    assert list(joint) == [(0,) * 1501, (1,) * 1501]
+    assert joint[(0,) * 1501] == pytest.approx(0.36, abs=1e-12)
+    assert joint[(1,) * 1501] == pytest.approx(0.64, abs=1e-12)
 
 
 class TestMarginalPastTheLimit:
