@@ -158,9 +158,10 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
     scenario = _read_scenario(args.file)
     rules = it.RuleSet(args.rules)
     try:
-        # the table reuses the plan the run compiled
-        result = it.run(scenario, rules, args.seed)
+        # the table first, so a failing table reports its own error whatever
+        # the seed; the run reuses the plan the table compiled
         joint = it.exact_joint(scenario, rules)
+        result = it.run(scenario, rules, args.seed)
     except (ValueError, it.TooManyBranchesError) as exc:
         raise _Failure(EXIT_USAGE, f"{args.file}: {exc}") from exc
     keys = it.outcome_keys(scenario)

@@ -61,7 +61,7 @@ so no outcome of one block depends on another block's (chain(n), n
 friends each copying their own system, is n blocks).  Each block keeps its groups, its slots
 and its own leaf bound.  Every table comes from the block combine, for
 one block or many: ``exact_joint`` and ``predicted_distribution`` walk
-each block once, on its own, and combine the blocks' leaves.  Rows come
+each block they read once, on its own, and combine their leaves.  Rows come
 in the single walk's order, lexicographic over the slots by the rank of
 each outcome among its siblings, and each row's weight multiplies its
 per-slot probabilities in slot order (a pin's is 1.0), so the table
@@ -90,24 +90,26 @@ the branch state conditioned on the pool's facts from earlier groups.
 Conditioning projects record pointer values and is well defined as long
 as neither those records nor records correlated with them have been
 collapsed since; otherwise enumeration raises
-``qcore.ZeroProbabilityError``.  ``run`` builds the ledger and the
-anomaly notes for its sampled history only.
+``qcore.ZeroProbabilityError``.  A table walks its blocks in the order of
+their first outcome and raises the first error it meets, never one of a
+block it does not read.  ``run`` builds the ledger and the anomaly notes
+for its sampled history only, and raises only the errors of its path.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
 enumerate every branch exactly, and ``perspective`` reconstructs the
 state a named observer faces at a point in the timeline.  Enumeration is
-refused before any branch is expanded when the plan's leaf bound exceeds
-``BRANCH_LIMIT``: the product, over every outcome, of the labels it can
-reach.  Past that limit, ``predicted_distribution`` combines only the
-blocks that draw its result and its conditioning keys, and is refused
-only when the product of their bounds exceeds the limit; within it, the
-marginal is folded from the whole table, equal bit for bit to one folded
-from ``exact_joint``.  A relative fact or a default readout reaches its
-record's writer labels (pointer cells only once an event has measured the
-record in another basis).  A pinned readout reaches one label, and so does a
-default readout of a record that an ``orthodox`` collapse or an earlier
-default readout left on one pointer.  Any other step reaches every label
-of its basis.  Pruning of zero-probability outcomes is not foreseen, so
+refused before any branch is expanded when the leaf bound of the blocks it
+reads exceeds ``BRANCH_LIMIT``: the product, over their outcomes, of the
+labels each can reach.  ``exact_joint`` reads every block, and
+``predicted_distribution`` only those that draw its result or a
+conditioning key: its marginal equals one folded from ``exact_joint`` bit
+for bit on a plan of one block, and can differ from it in the last bits on
+others.  A relative fact or a default readout reaches its record's writer
+labels (pointer cells only once an event has measured the record in
+another basis).  A pinned readout reaches one label, and so does a default
+readout of a record that an ``orthodox`` collapse or an earlier default
+readout left on one pointer.  Any other step reaches every label of its
+basis.  Pruning of zero-probability outcomes is not foreseen, so
 a scenario whose bound exceeds the limit is refused even when its real
 leaf count would not.
 
@@ -855,7 +857,10 @@ def _walk(comp: _Compiled, block: _Block | None = None) -> Iterator[_Branch]:
 
 
 def run(s: sc.Scenario, rules: RuleSet, seed: int = 0) -> RunResult:
-    """Sample a single history; identical (scenario, rules, seed) gives identical output."""
+    """Sample a single history; identical (scenario, rules, seed) gives identical output.
+
+    Only the sampled path is expanded, so where ``exact_joint`` raises, some
+    seeds return a history and others raise."""
     comp = _plan(s, rules)
     rng = random.Random(seed)
 
@@ -1013,26 +1018,18 @@ def _combined(comp: _Compiled, blocks: tuple[_Block, ...], point=None) -> dict[t
 def _trees(comp: _Compiled, blocks: tuple[_Block, ...]) -> list[dict]:
     """Each block's branch tree, one node per drawn outcome: a node maps each
     child's label to (p, node), in the order the walk expands them (sibling
-    outcomes differ in their label)."""
+    outcomes differ in their label).  The first error a block's walk meets
+    propagates."""
     trees = []
-    try:
-        for block in blocks:
-            root: dict = {}
-            for _, probs, labels, _ in _walk(comp, block):
-                node = root
-                for label, p in zip(labels, probs):
-                    if label not in node:
-                        node[label] = (p, {})
-                    node = node[label][1]
-            trees.append(root)
-    except ValueError as exc:
-        # the single walk over the whole plan meets the blocks' errors in its
-        # own order: raise the first it meets, when the plan's bound lets it
-        # run; a lone block's walk meets them in that order already
-        if len(blocks) > 1 and comp.leaf_bound <= BRANCH_LIMIT:
-            for _ in _walk(comp):
-                pass
-        raise exc
+    for block in blocks:
+        root: dict = {}
+        for _, probs, labels, _ in _walk(comp, block):
+            node = root
+            for label, p in zip(labels, probs):
+                if label not in node:
+                    node[label] = (p, {})
+                node = node[label][1]
+        trees.append(root)
     return trees
 
 
@@ -1042,8 +1039,8 @@ def _conditional_marginal(
     result: str,
     conditioning: dict[str, Label],
 ) -> dict[Label, float]:
-    """Distribution of ``result`` over the rows of an ``exact_joint`` table,
-    keyed per ``keys``, that agree with ``conditioning``."""
+    """Distribution of ``result`` over the rows of the table of the blocks
+    read, keyed per ``keys``, that agree with ``conditioning``."""
     at = keys.index(result)
     fixed = [(keys.index(k), v) for k, v in conditioning.items()]
     total = 0.0
@@ -1065,7 +1062,10 @@ def predicted_distribution(
     result: str,
     conditioning: dict[str, Label] | None = None,
 ) -> dict[Label, float]:
-    """Exact outcome distribution of a named result, optionally given ledger facts."""
+    """Exact outcome distribution of a named result, optionally given ledger facts.
+
+    Only the blocks that draw ``result`` or a conditioning key are walked,
+    refused when the product of their leaf bounds exceeds ``BRANCH_LIMIT``."""
     comp = _plan(s, rules)
     binder = next((ev for ev in comp.events if isinstance(ev, _CMeasure) and ev.result == result), None)
     if binder is None:
@@ -1076,14 +1076,8 @@ def predicted_distribution(
     for key in conditioning:
         if key not in comp.writers:
             raise ValueError(f"conditioning on an unwritten record: {key!r}")
-    # within the limit, the whole table in exact_joint's row order, so the
-    # marginal equals one folded from exact_joint bit for bit; past it, only
-    # the blocks that draw the result or a conditioning key, bounded by their
-    # own leaf bounds, where each label first appears as in the whole table
-    blocks = comp.blocks
-    if comp.leaf_bound > BRANCH_LIMIT:
-        wanted = {result, *conditioning}
-        blocks = tuple(block for block in blocks if any(comp.slots[at] in wanted for at in block.slots))
+    wanted = {result, *conditioning}
+    blocks = tuple(block for block in comp.blocks if any(comp.slots[at] in wanted for at in block.slots))
     keys = tuple(comp.slots[at] for at in sorted(at for block in blocks for at in block.slots))
     return _conditional_marginal(_combined(comp, blocks), keys, result, conditioning)
 

@@ -75,6 +75,28 @@ prepare state [1+0i, 0+0i] on S5
 interact bob on S5 basis basis1 record B2
 """
 
+# two independent blocks that each fail under rqm5: a read disturbs the
+# record that conditions its agent's second fact.  Alice's block draws first
+TWO_FAILURES = """scenario two_failures
+system S1 2
+system S2 2
+system T1 2
+system T2 2
+agent alice record A1 2 init 0 record A2 2 init 0
+agent bob record B1 2 init 0 record B2 2 init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S1
+prepare state [0.6+0i, 0.8+0i] on S2
+prepare state [0.6+0i, 0.8+0i] on T1
+prepare state [0.6+0i, 0.8+0i] on T2
+interact alice on S1 basis basis1 record A1
+read w record alice.A1 result ra
+interact bob on T1 basis basis1 record B1
+read w record bob.B1 result rb
+interact bob on T2 basis basis1 record B2
+interact alice on S2 basis basis1 record A2
+"""
+
 CHAIN3 = """scenario chain3
 system S1 2
 system S2 2
@@ -410,6 +432,16 @@ class TestRunCommand:
             )
             for rules in ("orthodox", "cpl"):
                 assert invoke(capsys, "run", str(path), "--rules", rules)[0] == 0
+
+    def test_failing_table_reports_one_error_for_every_seed(self, capsys, tmp_path):
+        # the table is built before the sampled run, so its error is the one
+        # reported, whichever history the seed would sample
+        path = tmp_path / "two_failures.wfs"
+        path.write_text(TWO_FAILURES)
+        want = (f"{path}: conditioning on fact 'alice.A1'=0 has zero probability; "
+                "the record, or a record correlated with it, was disturbed after the fact was produced\n")
+        for seed in range(8):
+            assert invoke(capsys, "run", str(path), "--rules", "rqm5", "--seed", str(seed)) == (1, "", want)
 
     def test_branch_limit_exit_1(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "chain3.wfs"

@@ -36,6 +36,7 @@ SCENARIOS = Path(wfcheck.__file__).parent / "scenarios"
 
 C0 = math.sqrt(0.3)
 C1 = math.sqrt(0.7)
+H = math.sqrt(0.5)
 
 PAIR = f"""
 scenario pair
@@ -199,6 +200,23 @@ class TestReadback:
 
 
 class TestPerspectives:
+    PLUS = f"""scenario plus
+system S 2
+observer w
+observer v
+basis plus on 2 labels p, m vectors [{H!r}+0i, {H!r}+0i] ; [{H!r}+0i, {-H!r}+0i]
+prepare state [0.6+0i, 0.8+0i] on S
+measure w on S basis basis1 result m1
+measure w on S basis plus result m2
+"""
+
+    def test_distinct_nodes_holding_one_state_mix_to_a_vector(self):
+        # given m2 = p, the branches m1 = 0 and m1 = 1 hold two state nodes
+        # with one state |+>: their mixture is pure
+        ps = it.perspective(sc.parse(self.PLUS), it.RuleSet.orthodox(), "v", given={"m2": "p"})
+        assert isinstance(ps.state, qcore.StateVector)
+        assert np.allclose(ps.state.amplitudes, [H, H], atol=1e-12)
+
     def test_initial_product_state(self):
         s = sc.parse(READBACK)
         p = it.perspective(s, it.RuleSet.rqm5(), "bob", after=-1)
@@ -442,6 +460,24 @@ measure o on S basis basis3 result y concurrent
             for k in jg:
                 assert jg[k] == pytest.approx(js[k], abs=1e-12)
 
+    INTERACT_THEN_MEASURE = """scenario interact_then_measure
+system S 2
+agent alice record A 2 init 0
+observer w
+prepare state [0.6+0i, 0.8+0i] on S
+interact alice on S basis basis1 record A
+measure w on S basis {basis} result m concurrent
+"""
+
+    @pytest.mark.parametrize("kind", it.RULE_KINDS)
+    def test_interaction_commutes_with_a_measure_of_its_basis(self, kind):
+        # the premeasurement copies S's basis1 value, so it commutes with the
+        # basis1 projectors of S and not with the basis3 ones
+        s = sc.parse(self.INTERACT_THEN_MEASURE.format(basis="basis1"))
+        assert sum(it.exact_joint(s, it.RuleSet(kind)).values()) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(it.ConcurrencyError, match="concurrent events 1 and 2 do not commute on \\['S'\\]"):
+            it.exact_joint(sc.parse(self.INTERACT_THEN_MEASURE.format(basis="basis3")), it.RuleSet(kind))
+
     def test_concurrent_interacts_are_simultaneous(self):
         # a shared pool normally lets the second agent condition on the first;
         # marking the interactions concurrent suppresses that
@@ -631,6 +667,33 @@ def test_rows_keyed_in_outcome_keys_order(kind):
         assert joint[point] == pytest.approx(p, abs=1e-12)
 
 
+# a pointer projection of two of GHZ's three qubits, named out of layout order
+GHZ_PAIR = """scenario ghz_pair
+system S1 2
+system S2 2
+system S3 2
+observer w
+prepare ghz on S1, S2, S3
+measure w on S3, S1 basis basis1 result m
+measure w on S2 basis basis1 result m2
+"""
+
+
+@pytest.mark.parametrize("kind", it.RULE_KINDS)
+def test_pointer_projection_splits_several_targets_off(kind, monkeypatch):
+    # m splits (S3, S1) off as one factor in layout order; m2 then measures
+    # the residual S2 alone
+    s = sc.parse(GHZ_PAIR)
+    dims = _recording(monkeypatch, "born_distribution")
+    joint = it.exact_joint(s, it.RuleSet(kind))
+    assert list(joint) == [(0, 0), (3, 1)]
+    assert all(abs(p - 0.5) <= 1e-12 for p in joint.values())
+    assert dims == [8, 2, 2]
+    comp = it._plan(s, it.RuleSet(kind))
+    for state, _, _, _ in it._walk(comp):
+        assert [f.layout.ids for f in dict.fromkeys(state)] == [("S1", "S3"), ("S2",)]
+
+
 # a qubit premeasured into a qutrit record: pointer cell "cell2" is unused
 # until a readout in the Fourier basis f3 moves the record off its writer
 # pointers
@@ -673,17 +736,10 @@ def _marginal(joint, keys, result, conditioning):
     return {k: v / total for k, v in dist.items()}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: sc.parse(GHZ_MIXED), lambda: sc.parse(READBACK), lambda: _chain(TestChain.PROBS),
-], ids=["ghz_mixed", "readback", "chain4"])
-@pytest.mark.parametrize("kind", it.RULE_KINDS)
-def test_predicted_distribution_is_a_marginal_of_exact_joint(make, kind):
-    # every leaf is one table row, so the two folds add the same numbers in
-    # the same order: equal bit for bit, key order included
-    s = make()
-    rules = it.RuleSet(kind)
+def _marginal_cases(s, joint):
+    """(observer, result, conditioning) for every result, unconditioned and
+    given each value of each record key that the table holds."""
     keys = it.outcome_keys(s)
-    joint = it.exact_joint(s, rules)
     conditionings = [{}]
     for i, key in enumerate(keys):
         if "." in key:  # a record key
@@ -691,9 +747,62 @@ def test_predicted_distribution_is_a_marginal_of_exact_joint(make, kind):
     for ev in s.timeline:
         if isinstance(ev, (sc.Measure, sc.ReadRecord)):
             for conditioning in conditionings:
-                got = it.predicted_distribution(s, rules, ev.observer, ev.result, conditioning)
-                want = _marginal(joint, keys, ev.result, conditioning)
-                assert list(got.items()) == list(want.items())
+                yield ev.observer, ev.result, conditioning
+
+
+@pytest.mark.parametrize("make", [lambda: sc.parse(GHZ_MIXED), lambda: sc.parse(READBACK)],
+                         ids=["ghz_mixed", "readback"])
+@pytest.mark.parametrize("kind", it.RULE_KINDS)
+def test_predicted_distribution_is_a_marginal_of_exact_joint(make, kind):
+    # one block: every leaf is one table row, so the two folds add the same
+    # numbers in the same order, equal bit for bit, key order included
+    s = make()
+    rules = it.RuleSet(kind)
+    joint = it.exact_joint(s, rules)
+    assert len(it._plan(s, rules).blocks) == 1
+    for observer, result, conditioning in _marginal_cases(s, joint):
+        got = it.predicted_distribution(s, rules, observer, result, conditioning)
+        assert list(got.items()) == list(_marginal(joint, it.outcome_keys(s), result, conditioning).items())
+
+
+@pytest.mark.parametrize("kind", it.RULE_KINDS)
+def test_chain_marginals_fold_their_own_blocks(kind):
+    # chain4 is four blocks; a marginal sums only its own blocks' rows, so
+    # it stays within 1e-12 of the whole table's fold and within 1e-15 of
+    # the closed form: r_i is p_i-distributed, and pinned or collapsed onto
+    # the fact f_i.A outside rqm5
+    s = _chain(TestChain.PROBS)
+    rules = it.RuleSet(kind)
+    joint = it.exact_joint(s, rules)
+    for observer, result, conditioning in _marginal_cases(s, joint):
+        got = it.predicted_distribution(s, rules, observer, result, conditioning)
+        fold = _marginal(joint, it.outcome_keys(s), result, conditioning)
+        assert list(got) == list(fold)
+        assert all(abs(got[x] - fold[x]) <= 1e-12 for x in fold)
+        i = int(result[1:])
+        fact = conditioning.get(f"f{i}.A")
+        if kind == "rqm5" or fact is None:
+            p = TestChain.PROBS[i - 1]
+            want = {0: p, 1: 1 - p}
+        else:
+            want = {fact: 1.0}
+        assert set(got) == set(want)
+        assert all(abs(got[x] - want[x]) <= 1e-15 for x in want)
+
+
+@pytest.mark.parametrize("kind", it.RULE_KINDS)
+def test_chain_marginal_does_not_depend_on_the_chain_length(kind):
+    # the paper's first claim on chain(n): a fact predicts nothing about the
+    # outsider's readout under rqm5, P(r1 = 0 | f1.A = 0) = p1 = 0.3.  The
+    # query reads f1's block alone, so every n gives the same float
+    values = []
+    for n in range(1, 13):
+        s = _chain((0.3,) + TestMarginalPastTheLimit.PROBS12[1:n])
+        values.append(it.predicted_distribution(s, it.RuleSet(kind), "w", "r1", {"f1.A": 0}))
+    assert all(list(v.items()) == list(values[0].items()) for v in values)
+    want = {0: 0.3, 1: 0.7} if kind == "rqm5" else {0: 1.0}
+    assert set(values[0]) == set(want)
+    assert all(abs(values[0][x] - want[x]) <= 1e-15 for x in want)
 
 
 @pytest.mark.parametrize("kind", it.RULE_KINDS)
@@ -856,6 +965,27 @@ def _single_walk_table(comp):
     return out
 
 
+def _first_block_error(comp):
+    """The first error met walking the plan's blocks one at a time, in order."""
+    try:
+        for block in comp.blocks:
+            for _ in it._walk(comp, block):
+                pass
+    except ValueError as exc:
+        return exc
+    raise AssertionError(f"no block of {comp.name!r} raises")
+
+
+def _assert_raises_the_first_block_error(s, rules, walked):
+    # the single walk and the table fail alike, and the table's error is
+    # its first block's
+    first = _first_block_error(it._plan(s, rules))
+    assert type(first) is type(walked)
+    with pytest.raises(type(walked)) as info:
+        it.exact_joint(s, rules)
+    assert str(info.value) == str(first)
+
+
 def _scenario_literals():
     """Every scenario literal in these test modules that parses and validates."""
     found = []
@@ -929,8 +1059,9 @@ read bob record alice.A result ra
 """
 
 # under rqm5 each agent's second fact conditions on a first one that w's read
-# has collapsed; alice's block draws first, but the single walk meets bob's
-# zero-probability branch (rb=1 after bob.B1=0) first, deeper in its tree
+# has collapsed; alice's block draws first, so a table of both blocks raises
+# alice's error, while the single walk meets bob's zero-probability branch
+# (rb=1 after bob.B1=0) first, deeper in its tree
 TWO_FAILURES = """scenario two_failures
 system S1 2
 system S2 2
@@ -970,9 +1101,7 @@ def test_blocks_combine_to_the_single_walk_table(rules):
         try:
             want = _single_walk_table(comp)
         except ValueError as exc:
-            with pytest.raises(type(exc)) as info:
-                it.exact_joint(s, rules)
-            assert str(info.value) == str(exc)
+            _assert_raises_the_first_block_error(s, rules, exc)
             continue
         got = it.exact_joint(s, rules)
         assert list(got) == list(want), s.name
@@ -1006,19 +1135,41 @@ def test_no_outcomes_is_one_float_row(rules):
         assert list(joint) == [()] and type(joint[()]) is float and joint[()] == 1.0
 
 
-def test_errors_are_the_single_walks_first():
+def test_errors_follow_the_block_order():
+    # each query walks only its own blocks, in the order of their first
+    # outcome, and raises the first error it meets
+    rules = it.RuleSet.rqm5()
+    s = sc.parse(TWO_FAILURES)
+    assert _block_keys(s, rules) == [("alice.A1", "ra", "alice.A2"), ("bob.B1", "rb", "bob.B2")]
+    for query in (lambda: it.exact_joint(s, rules), lambda: it.predicted_distribution(s, rules, "w", "ra")):
+        with pytest.raises(qcore.ZeroProbabilityError, match="'alice.A1'=0"):
+            query()
+    with pytest.raises(qcore.ZeroProbabilityError, match="'bob.B1'=0"):
+        it.predicted_distribution(s, rules, "w", "rb")
+    # without alice's second interaction her block answers; bob's still fails
+    s = sc.parse(TWO_FAILURES.replace("interact alice on S2 basis basis1 record A2\n", ""))
+    got = it.predicted_distribution(s, rules, "w", "ra")
+    assert list(got) == [0, 1]
+    assert abs(got[0] - 0.36) <= 1e-12 and abs(got[1] - 0.64) <= 1e-12
+    with pytest.raises(qcore.ZeroProbabilityError, match="'bob.B1'=0"):
+        it.exact_joint(s, rules)
+
+
+def test_run_checks_only_its_sampled_path():
+    # the table raises, but a seeded run expands one history: a seed whose
+    # reads agree with both first facts returns, any other raises
     s = sc.parse(TWO_FAILURES)
     rules = it.RuleSet.rqm5()
-    assert len(_block_keys(s, rules)) == 2
-    with pytest.raises(qcore.ZeroProbabilityError) as walked:
-        list(it._walk(it._compile(s, rules)))
-    assert "'bob.B1'=0" in str(walked.value)
-    with pytest.raises(qcore.ZeroProbabilityError) as info:
-        it.exact_joint(s, rules)
-    assert str(info.value) == str(walked.value)
-    with pytest.raises(qcore.ZeroProbabilityError) as info:
-        it.predicted_distribution(s, rules, "w", "ra")
-    assert str(info.value) == str(walked.value)
+    returned = []
+    for seed in range(8):
+        try:
+            result = it.run(s, rules, seed)
+        except qcore.ZeroProbabilityError:
+            continue
+        returned.append(seed)
+        ledger = {e.observable: e.outcome for e in result.ledger.entries}
+        assert result.results["ra"] == ledger["alice.A1"] and result.results["rb"] == ledger["bob.B1"]
+    assert 0 < len(returned) < 8
 
 
 PAIR_STATES = ("schmidt(0.6, 0.8)", "schmidt(0.28, 0.96)",
@@ -1074,9 +1225,7 @@ def test_generated_blocks_combine_to_the_single_walk_table(s):
         try:
             want = _single_walk_table(comp)
         except ValueError as exc:
-            with pytest.raises(type(exc)) as info:
-                it.exact_joint(s, rules)
-            assert str(info.value) == str(exc)
+            _assert_raises_the_first_block_error(s, rules, exc)
             continue
         got = it.exact_joint(s, rules)
         assert list(got) == list(want)
