@@ -3,8 +3,8 @@
 The package is organized in four layers:
 
 - :mod:`wfcheck.qcore`: state-vector kernel (states, unitaries,
-  projective measurement, partial trace, Schmidt decomposition) that
-  the engine runs on one state factor at a time.
+  projective measurement, the partial trace of a pure state) that the
+  engine runs on one state factor at a time.
 - :mod:`wfcheck.scenario`: a small line-oriented language describing
   systems, agents with memory records, observers, and a timeline of
   preparation, entangling interaction, measurement, and record readout.
@@ -31,7 +31,6 @@ from .qcore import (
     partial_trace,
     product_basis,
     project,
-    schmidt,
 )
 from .scenario import (
     BUNDLED_SCENARIOS,
@@ -87,7 +86,6 @@ __all__ = [
     "partial_trace",
     "product_basis",
     "project",
-    "schmidt",
     # scenario
     "Diagnostic",
     "Scenario",

@@ -413,23 +413,15 @@ def substituted_parity_constraints() -> tuple[ParityConstraint, ...]:
 # exhaustive parity solver
 
 
-def parity_search(constraints, variables=None) -> AssignmentSearchResult:
-    """Try every ±1 assignment against the constraints; derive the formal
-    obstruction when none fits."""
+def parity_search(constraints, variables) -> AssignmentSearchResult:
+    """Try every ±1 assignment of ``variables`` against the constraints;
+    derive the formal obstruction when none fits."""
     constraints = tuple(constraints)
-    if variables is None:
-        names: list[str] = []
-        for con in constraints:
-            for v in con.variables:
-                if v not in names:
-                    names.append(v)
-        variables = tuple(sorted(names))
-    else:
-        variables = tuple(variables)
-        for con in constraints:
-            missing = set(con.variables) - set(variables)
-            if missing:
-                raise ValueError(f"constraint mentions unknown variables {sorted(missing)}")
+    variables = tuple(variables)
+    for con in constraints:
+        missing = set(con.variables) - set(variables)
+        if missing:
+            raise ValueError(f"constraint mentions unknown variables {sorted(missing)}")
     n = len(variables)
     if n > MAX_VARIABLES:
         raise ValueError(f"{n} variables exceed the limit of {MAX_VARIABLES}")

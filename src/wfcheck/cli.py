@@ -138,18 +138,21 @@ def _read_scenario(path: str) -> sc.Scenario:
     except UnicodeDecodeError as exc:
         raise _Failure(EXIT_USAGE, f"{path}: not valid UTF-8: {exc}") from exc
     try:
-        scenario = sc.parse(text)
+        return sc.parse(text)
     except sc.ScenarioError as exc:
         raise _Failure(EXIT_USAGE, f"{path}: {exc}") from exc
+
+
+def _require_valid(path: str, scenario: sc.Scenario) -> None:
+    """Refuse an invalid scenario with its diagnostics, one per line."""
     problems = sc.validate(scenario)
     if problems:
-        lines = [f"{path}: {d}" for d in problems]
-        raise _Failure(EXIT_USAGE, "\n".join(lines))
-    return scenario
+        raise _Failure(EXIT_USAGE, "\n".join(f"{path}: {d}" for d in problems))
 
 
 def cmd_parse(args: argparse.Namespace, _invocation: tuple[str, ...]) -> int:
     scenario = _read_scenario(args.file)
+    _require_valid(args.file, scenario)
     sys.stdout.write(sc.dumps(scenario))
     return EXIT_OK
 
@@ -163,6 +166,9 @@ def cmd_run(args: argparse.Namespace, invocation: tuple[str, ...]) -> int:
         joint = it.exact_joint(scenario, rules)
         result = it.run(scenario, rules, args.seed)
     except (ValueError, it.TooManyBranchesError) as exc:
+        # the engine validates before anything else, so an invalid scenario
+        # fails here and is reported by its diagnostics
+        _require_valid(args.file, scenario)
         raise _Failure(EXIT_USAGE, f"{args.file}: {exc}") from exc
     keys = it.outcome_keys(scenario)
     payload: dict[str, Any] = {

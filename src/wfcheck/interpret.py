@@ -94,6 +94,9 @@ collapsed since; otherwise enumeration raises
 their first outcome and raises the first error it meets, never one of a
 block it does not read.  ``run`` builds the ledger and the anomaly notes
 for its sampled history only, and raises only the errors of its path.
+``perspective`` walks the whole plan in one pass and raises that walk's
+first error, so on a scenario with two failing blocks it can name a
+different fact from the one the tables name.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
 enumerate every branch exactly, and ``perspective`` reconstructs the
@@ -1095,6 +1098,10 @@ def perspective(
     timeline.  Unknown outcomes are mixed over; ``given`` filters branches by
     result names or record keys, fixing what the observer is taken to know.
     Returns a StateVector when the mixture is pure, else a DensityMatrix.
+
+    The plan of events 0..after is walked whole, not block by block, so of
+    two blocks whose conditioning fails this raises the error the single
+    walk meets first, which need not be the one ``exact_joint`` raises.
     """
     _plans_of(s)  # validates s once; a truncated timeline of a valid scenario is valid
     if observer not in _observer_names(s):

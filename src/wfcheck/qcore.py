@@ -6,8 +6,8 @@ big-endian in declaration order: the first declared subsystem varies
 slowest.  The kernel provides tensor assembly, local unitary application,
 basis measurements (Born-rule distributions and projective collapse, with
 joint bases of several separate readouts built by ``product_basis``),
-partial traces, Schmidt decompositions and the pre-measurement unitaries
-that copy a measured basis index onto a fresh record subsystem.
+the partial trace of a pure state, and the pre-measurement unitaries that
+copy a measured basis index onto a fresh record subsystem.
 
 All floating-point comparisons use the absolute tolerance
 ``DEFAULT_ATOL`` = 1e-10, each written so that NaN fails it.  Each call
@@ -34,7 +34,7 @@ DEFAULT_ATOL = 1e-10
 # Below this probability an outcome counts as unreachable: projecting on it
 # is an error rather than a division by (nearly) zero.
 PROB_EPS = 1e-14
-# Two Schmidt coefficients closer than this count as degenerate.
+# Two Schmidt coefficients of a pair closer than this count as degenerate.
 DISTINCT_TOL = 1e-8
 
 
@@ -304,60 +304,16 @@ def project(s: StateVector, b: BasisSpec, outcome: Label) -> StateVector:
     return StateVector(s.layout, t.reshape(-1) / np.sqrt(p))
 
 
-def partial_trace(state: StateVector | DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
+def partial_trace(state: StateVector, keep: Sequence[str]) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (in the order given)."""
     keep = list(keep)
     if not keep:
         raise ValueError("empty keep set")
-    layout = state.layout
-    keep_pos = layout.positions(keep)
-    rest_pos = [i for i in range(len(layout.dims)) if i not in keep_pos]
-    new_layout = layout.sublayout(keep)
-    dk = new_layout.total_dimension
-    if isinstance(state, StateVector):
-        t = np.moveaxis(state.tensor_view(), keep_pos, range(len(keep_pos)))
-        mat = t.reshape(dk, -1)
-        return DensityMatrix(new_layout, mat @ mat.conj().T)
-    n = len(layout.dims)
-    t = state.matrix.reshape(layout.dims + layout.dims)
-    order = list(keep_pos) + rest_pos
-    t = t.transpose(tuple(order) + tuple(p + n for p in order))
-    dr = layout.total_dimension // dk
-    t = t.reshape(dk, dr, dk, dr)
-    return DensityMatrix(new_layout, np.einsum("arbr->ab", t))
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    coefficients: np.ndarray
-    left: tuple[StateVector, ...]
-    right: tuple[StateVector, ...]
-    unique: bool
-
-
-def schmidt(s: StateVector, left: Sequence[str], right: Sequence[str]) -> SchmidtDecomposition:
-    """Schmidt decomposition across a bipartition of the full layout.
-
-    Coefficients come back descending with zeros dropped; ``unique`` is true
-    iff the nonzero coefficients are pairwise distinct beyond 1e-8.
-    """
-    layout = s.layout
-    if sorted(list(left) + list(right)) != sorted(layout.ids):
-        raise ValueError("bipartition must cover the layout with disjoint parts")
-    lpos = layout.positions(left)
-    rpos = layout.positions(right)
-    t = np.moveaxis(s.tensor_view(), list(lpos) + list(rpos), range(len(layout.dims)))
-    dl = int(np.prod([layout.dims[i] for i in lpos]))
-    mat = t.reshape(dl, -1)
-    u, sing, vh = np.linalg.svd(mat, full_matrices=False)
-    mask = sing > DISTINCT_TOL
-    sing = sing[mask]
-    left_layout = layout.sublayout(left)
-    right_layout = layout.sublayout(right)
-    lvecs = tuple(StateVector(left_layout, u[:, i]) for i in range(len(sing)))
-    rvecs = tuple(StateVector(right_layout, vh[i, :]) for i in range(len(sing)))
-    unique = all(abs(sing[i] - sing[j]) > DISTINCT_TOL for i in range(len(sing)) for j in range(i + 1, len(sing)))
-    return SchmidtDecomposition(sing, lvecs, rvecs, unique)
+    keep_pos = state.layout.positions(keep)
+    new_layout = state.layout.sublayout(keep)
+    t = np.moveaxis(state.tensor_view(), keep_pos, range(len(keep_pos)))
+    mat = t.reshape(new_layout.total_dimension, -1)
+    return DensityMatrix(new_layout, mat @ mat.conj().T)
 
 
 # ---------------------------------------------------------------------------

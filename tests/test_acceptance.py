@@ -142,15 +142,6 @@ def test_kernel_properties():
             assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 1e-10
             assert float(np.linalg.eigvalsh(rho.matrix).min()) >= -1e-10
 
-            # Schmidt round trip across an order-respecting bipartition
-            cut = int(rng.integers(1, n_parts))
-            left, right = layout.ids[:cut], layout.ids[cut:]
-            dec = qcore.schmidt(state, left, right)
-            rebuilt = np.zeros(dim, dtype=complex)
-            for coeff, lv, rv in zip(dec.coefficients, dec.left, dec.right):
-                rebuilt += coeff * np.kron(lv.amplitudes, rv.amplitudes)
-            assert np.max(np.abs(rebuilt - state.amplitudes)) <= 1e-10
-
         # product observable vs explicit joint construction
         qubits = qcore.SpaceLayout((("q0", 2), ("q1", 2), ("q2", 2)))
         for trial in range(100):

@@ -197,7 +197,7 @@ def gf2_solution_count(constraints, variables):
 
 class TestParitySearch:
     def test_single_variable(self):
-        r = checks.parity_search([checks.ParityConstraint(("x",), 1, "unit")])
+        r = checks.parity_search([checks.ParityConstraint(("x",), 1, "unit")], variables=("x",))
         assert r.domain_size == 2
         assert r.satisfying == ((("x", 1),),)
 
@@ -216,9 +216,9 @@ class TestParitySearch:
 
     def test_formal_certificate_only_when_infeasible(self):
         feasible = [checks.ParityConstraint(("a", "b"), 1, "t")]
-        assert checks.parity_search(feasible).formal_square is None
+        assert checks.parity_search(feasible, variables=("a", "b")).formal_square is None
         infeasible = [checks.ParityConstraint(("a", "a"), -1, "t")]
-        r = checks.parity_search(infeasible)
+        r = checks.parity_search(infeasible, variables=("a",))
         assert r.satisfying == ()
         assert r.formal_square == "(a)^2 = -1"
 

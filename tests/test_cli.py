@@ -166,6 +166,16 @@ class TestParseCommand:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", ["parse", "run"])
+    def test_non_utf8_file_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.wfs"
+        path.write_bytes(b"scenario caf\xe9\n")
+        args = (command, str(path)) + (("--rules", "orthodox") if command == "run" else ())
+        code, out, err = invoke(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{path}: not valid UTF-8: ")
+        assert "Traceback" not in err
+
     def test_validation_failure_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "unwritten.wfs"
         bad.write_text("scenario x\nsystem S 2\n"
@@ -234,6 +244,29 @@ class TestRunCommand:
             assert invoke(capsys, "run", str(SCENARIOS / f"{name}.wfs"), "--rules", rules)[0] == 0
         gc.collect()
         assert len(it._plans) == before
+
+    def test_validates_each_scenario_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        validate = sc.validate
+
+        def counting(scenario):
+            calls.append(scenario.name)
+            return validate(scenario)
+
+        monkeypatch.setattr(sc, "validate", counting)
+        for name in ("epr", "cpl", "ghz"):
+            for rules in it.RULE_KINDS:
+                calls.clear()
+                assert invoke(capsys, "run", str(SCENARIOS / f"{name}.wfs"), "--rules", rules)[0] == 0
+                assert len(calls) == 1
+        # an invalid scenario fails in the engine and is reported by its
+        # diagnostics alone, each prefixed by the path
+        path = tmp_path / "unprepared.wfs"
+        path.write_text("scenario unprepared\nsystem S 2\nagent a record R 2 init 0\nobserver w\n"
+                        "interact a on S basis basis1 record R\nread w record a.R result r\n")
+        assert invoke(capsys, "run", str(path), "--rules", "rqm5") == (
+            1, "", f"{path}: event 0: unprepared target 'S'\n")
+        assert invoke(capsys, "parse", str(path)) == (1, "", f"{path}: event 0: unprepared target 'S'\n")
 
     def test_exact_table_matches_engine(self, capsys):
         code, doc, err = run_json(capsys, "run", str(SCENARIOS / "epr.wfs"),

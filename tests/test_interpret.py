@@ -191,6 +191,17 @@ class TestReadback:
         with pytest.raises(ValueError, match="unwritten record"):
             it.predicted_distribution(s, it.RuleSet.rqm5(), "bob", "rb", {"alice.Z": 0})
 
+    def test_zero_probability_conditioning_rejected(self):
+        s = sc.parse((SCENARIOS / "cpl.wfs").read_text(encoding="utf-8"))
+        with pytest.raises(ValueError, match=re.escape("conditioning {'alice.A': 7} has zero probability")):
+            it.predicted_distribution(s, it.RuleSet.rqm5(), "bob", "rb", {"alice.A": 7})
+
+    def test_ledger_without_the_record_raises_key_error(self):
+        r = it.run(sc.parse(READBACK), it.RuleSet.rqm5(), seed=0)
+        assert r.ledger.value_for("alice.A") in (0, 1)
+        with pytest.raises(KeyError, match="no ledger entry for record 'bob.B'"):
+            r.ledger.value_for("bob.B")
+
     def test_unbound_result_rejected(self):
         s = sc.parse(READBACK)
         with pytest.raises(ValueError, match="not bound"):
@@ -263,6 +274,11 @@ measure w on S basis plus result m2
     def test_unknown_observer_rejected(self):
         with pytest.raises(ValueError, match="unknown observer"):
             it.perspective(sc.parse(READBACK), it.RuleSet.rqm5(), "nobody")
+
+    @pytest.mark.parametrize("after", [3, -2])
+    def test_after_outside_timeline_rejected(self, after):
+        with pytest.raises(ValueError, match=f"event index {after} outside timeline of length 3"):
+            it.perspective(sc.parse(READBACK), it.RuleSet.rqm5(), "bob", after=after)
 
     def test_after_must_respect_groups(self):
         s = sc.parse(GHZ)

@@ -295,7 +295,7 @@ def test_product_observable_equals_sequential_measurement(case):
 
 
 # ---------------------------------------------------------------------------
-# partial trace, Schmidt
+# partial trace
 
 
 def test_partial_trace_of_entangled_pair():
@@ -303,13 +303,6 @@ def test_partial_trace_of_entangled_pair():
     rho = qc.partial_trace(s, ["P1"])
     oracle = hand_reduced_matrix(s.amplitudes, (2, 2), keep_first=True)
     assert np.allclose(rho.matrix, oracle, atol=1e-12)
-    assert np.allclose(rho.matrix, np.diag([0.3, 0.7]), atol=1e-12)
-
-
-def test_partial_trace_density_matrix_input():
-    s = entangled_pair()
-    rho_full = qc.DensityMatrix(s.layout, np.outer(s.amplitudes, s.amplitudes.conj()))
-    rho = qc.partial_trace(rho_full, ["P2"])
     assert np.allclose(rho.matrix, np.diag([0.3, 0.7]), atol=1e-12)
 
 
@@ -332,41 +325,6 @@ def test_record_reduction_unchanged_by_readout_interaction():
     rho_before = qc.partial_trace(before, ["R"])
     rho_after = qc.partial_trace(after, ["R"])
     assert np.allclose(rho_before.matrix, rho_after.matrix, atol=1e-12)
-
-
-def test_schmidt_of_entangled_pair():
-    sd = qc.schmidt(entangled_pair(), ["P1"], ["P2"])
-    assert np.allclose(sd.coefficients, [SQ7, SQ3], atol=1e-12)
-    assert sd.unique
-
-
-def test_schmidt_product_state_single_coefficient():
-    lay = qc.SpaceLayout((("a", 2), ("b", 2)))
-    s = qc.StateVector(lay, [0, 1, 0, 0])
-    sd = qc.schmidt(s, ["a"], ["b"])
-    assert len(sd.coefficients) == 1
-    assert sd.coefficients[0] == pytest.approx(1.0, abs=1e-12)
-    assert sd.unique
-
-
-def test_schmidt_degenerate_pair_not_unique():
-    lay = qc.SpaceLayout((("a", 2), ("b", 2)))
-    s = qc.StateVector(lay, qc.correlated_pair_amplitudes([np.sqrt(0.5), np.sqrt(0.5)]))
-    assert not qc.schmidt(s, ["a"], ["b"]).unique
-
-
-def test_schmidt_reconstruction_random():
-    rng = np.random.default_rng(31)
-    lay = qc.SpaceLayout((("a", 2), ("b", 3), ("c", 2)))
-    for _ in range(20):
-        s = qc.random_state(lay, rng)
-        sd = qc.schmidt(s, ["b"], ["a", "c"])
-        rebuilt = np.zeros(12, dtype=complex)
-        for coeff, lv, rv in zip(sd.coefficients, sd.left, sd.right):
-            rebuilt += coeff * np.kron(lv.amplitudes, rv.amplitudes)
-        # reconstruction lives on (b, a, c); permute the original to compare
-        ref = qc.permute(s, ["b", "a", "c"])
-        assert np.allclose(rebuilt, ref.amplitudes, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

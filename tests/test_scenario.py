@@ -261,6 +261,7 @@ observer o
         ("partition p group a group a\n", "overlap", 0),
         ("partition p group z\n", "unknown agent", 0),
         ("prepare ghz on S, T\n", "state/target mismatch", 0),
+        ("prepare schmidt(0.6, 0.8) on S, Q\n", "schmidt(c0, c1) needs two dimension-2 targets", 0),
         ("prepare state [1+0i, 0+0i] on S\nprepare state [1+0i, 0+0i] on T\ninteract a on S, T basis basis1 record R\n", "record too small", 2),
         ("prepare state [1+0i, 0+0i] on S\nmeasure o on S basis basis1 result r concurrent\n", "concurrent without", 1),
         ("prepare state [1+0i, 0+0i] on S\ninteract a on a.R basis basis1 record R2\n", "must be a system", 1),
@@ -301,6 +302,26 @@ def test_validate_never_lists_pointer_cells(monkeypatch):
     )
     assert [str(d) for d in sc.validate(sc.parse(text))] == [
         "event 1: basis label 'cell7' collides with a pointer cell name of record 'a.R'"]
+
+
+def test_validate_reports_undeclared_names_of_a_code_built_scenario():
+    # the parser refuses these names, so only a scenario built in code has them
+    s = sc.Scenario(
+        "v", (("S", 2),), (sc.AgentDecl("a", (sc.RecordDecl("R", 2, 0),)),), (sc.ObserverDecl("o"),), (),
+        (sc.Prepare(sc.RawState((1 + 0j, 0j)), ("S",)),
+         sc.Interact("ghost", ("T",), sc.PresetBasis("basis1"), "R"),
+         sc.Measure("nobody", ("T",), sc.PresetBasis("basis1"), "m"),
+         sc.ReadRecord("nobody", "ghost", "R", None, "r")),
+    )
+    assert [str(d) for d in sc.validate(s)] == [
+        "event 1: unknown agent 'ghost'",
+        "event 1: unknown identifier 'T'",
+        "event 1: unknown record 'ghost.R'",
+        "event 2: unknown observer 'nobody'",
+        "event 2: unknown identifier 'T'",
+        "event 3: unknown observer 'nobody'",
+        "event 3: unknown record 'ghost.R'",
+    ]
 
 
 def test_validate_prepare_after_use():
