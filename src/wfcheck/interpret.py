@@ -124,13 +124,14 @@ the targets' dimension and D the record's), or the operators that the
 concurrency check embeds on two events' joint support.  Building and
 checking a premeasurement peaks at about five times its array, so at the
 limit (256 MiB per array) a plan still compiles and runs under a 2 GB
-address space.  The dense perspectives that ``run`` and ``perspective``
-build over the whole layout are not bounded.
+address space.  The same limit bounds what the branches build: merging
+state factors, the dense views of a perspective over the whole layout
+(the merge of every factor), and the d×d density matrix of a mixed
+perspective are each refused before they are allocated.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import random
@@ -410,8 +411,7 @@ def _compile(s: sc.Scenario, rules: RuleSet) -> _Compiled:
     dims = dict(layout.subsystems)
     entries, where = _largest_array(s, dims)
     if entries > ENTRY_LIMIT:
-        raise ValueError(f"scenario {s.name!r}: {where} builds an array of {entries} entries, "
-                         f"over the limit of {ENTRY_LIMIT}")
+        raise _over_limit(s.name, where, entries)
     order = {sid: i for i, sid in enumerate(layout.ids)}
     record_init = {sc.record_key(a.name, r.name): r.init for a in s.agents for r in a.records}
     initial = {
@@ -609,17 +609,30 @@ def _weight(probs: tuple[float, ...]) -> float:
     return prod(probs, start=1.0)
 
 
-def _product(state: _State, order: dict[str, int]) -> qcore.StateVector:
+def _over_limit(name: str, where: str, entries: int) -> ValueError:
+    return ValueError(f"scenario {name!r}: {where} builds an array of {entries} entries, "
+                      f"over the limit of {ENTRY_LIMIT}")
+
+
+def _product(comp: _Compiled, state: _State) -> qcore.StateVector:
     """Tensor product of the distinct factors of ``state``, its subsystems in
-    layout order; the factors are taken in the order of their first subsystem."""
+    layout order; the factors are taken in the order of their first subsystem.
+    Refused before allocating when it would hold more than ``ENTRY_LIMIT``
+    amplitudes."""
     factors = tuple(dict.fromkeys(state))
     if not factors:  # a scenario without subsystems
         return qcore.StateVector(qcore.SpaceLayout(()), np.ones(1, dtype=complex))
     if len(factors) == 1:
         return factors[0]
     subsystems = [sub for f in factors for sub in f.layout.subsystems]
-    perm = sorted(range(len(subsystems)), key=lambda a: order[subsystems[a][0]])
-    amps = functools.reduce(np.kron, [f.amplitudes for f in factors])
+    perm = sorted(range(len(subsystems)), key=lambda a: comp.order[subsystems[a][0]])
+    entries = prod(f.layout.total_dimension for f in factors)
+    if entries > ENTRY_LIMIT:
+        ids = ", ".join(repr(subsystems[a][0]) for a in perm)
+        raise _over_limit(comp.name, f"merging {ids}", entries)
+    amps = factors[0].amplitudes
+    for f in factors[1:]:
+        amps = np.multiply.outer(amps, f.amplitudes).ravel()
     amps = amps.reshape([d for _, d in subsystems]).transpose(perm).reshape(-1)
     return qcore.StateVector(qcore.SpaceLayout(tuple(subsystems[a] for a in perm)), amps)
 
@@ -641,7 +654,7 @@ def _touch(memo: dict, comp: _Compiled, state: _State, ids) -> qcore.StateVector
     if len(touched) == 1:
         return touched[0]
     touched = tuple(sorted(touched, key=lambda f: comp.order[f.layout.ids[0]]))
-    return _shared(memo, touched, ("merge",), _product, touched, comp.order)
+    return _shared(memo, touched, ("merge",), _product, comp, touched)
 
 
 def _with(comp: _Compiled, state: _State, parts: _State) -> _State:
@@ -670,21 +683,20 @@ def _project(
     comp: _Compiled, factor: qcore.StateVector, spec: qcore.BasisSpec, label: Label, split: bool,
 ) -> _State:
     """``project`` builds (basis vector) x (residual), so when the basis vector
-    is a pointer state (one nonzero entry) the measured targets split off
-    exactly: the residual is a row of the projected tensor."""
-    projected = qcore.project(factor, spec, label)
+    is a pointer state (one nonzero entry k) the measured targets split off
+    exactly: the rest is row k of the projected tensor, built here by the
+    same operations without the tensor."""
     vec = spec.vectors[spec.labels.index(label)]
     (nonzero,) = np.nonzero(vec)
     if not split or len(nonzero) != 1 or len(spec.targets) == len(factor.layout.subsystems):
-        return (projected,)
+        return (qcore.project(factor, spec, label),)
     k = nonzero[0]
-    positions = factor.layout.positions(spec.target_ids)
-    rows = np.moveaxis(projected.tensor_view(), positions, range(len(positions))).reshape(spec.dim, -1)
+    residual, p = qcore.residual(factor, spec, label)
     rest = qcore.SpaceLayout(tuple(s for s in factor.layout.subsystems if s[0] not in spec.target_ids))
     measured = qcore.StateVector(qcore.SpaceLayout(spec.targets), vec)
     if len(spec.targets) > 1:
         measured = qcore.permute(measured, sorted(spec.target_ids, key=comp.order.get))
-    return (measured, qcore.StateVector(rest, rows[k] / vec[k]))
+    return (measured, qcore.StateVector(rest, ((vec[k] * residual) / np.sqrt(p)) / vec[k]))
 
 
 def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerEntry, ...]:
@@ -953,7 +965,7 @@ def _branch_perspective(
     for key, value in outcomes:
         if key in own_results:
             knowledge.append((key, value))
-    dense = _shared(memo, state, ("dense",), _product, state, comp.order)
+    dense = _shared(memo, state, ("dense",), _product, comp, state)
     return PerspectiveState(name, dense, tuple(knowledge))
 
 
@@ -1152,11 +1164,14 @@ def _mixture(comp: _Compiled, states: list[tuple[float, _State]]) -> Union[qcore
         nodes.setdefault(state, [0.0, state])[0] += w
     layout = comp.layout
     if len(nodes) == 1:
-        vec = _product(states[0][1], comp.order).amplitudes
+        vec = _product(comp, states[0][1]).amplitudes
     else:
-        rho = np.zeros((layout.total_dimension, layout.total_dimension), dtype=complex)
+        d = layout.total_dimension
+        if d * d > ENTRY_LIMIT:
+            raise _over_limit(comp.name, f"the mixed perspective of {len(nodes)} branch states", d * d)
+        rho = np.zeros((d, d), dtype=complex)
         for w, state in nodes.values():
-            psi = _product(state, comp.order)
+            psi = _product(comp, state)
             rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
         vals, vecs = np.linalg.eigh(rho)
         if vals[-1] < 1.0 - 1e-12:

@@ -219,7 +219,7 @@ def tensor(*states: StateVector) -> StateVector:
     combined = SpaceLayout(tuple(sub for s in states for sub in s.layout.subsystems))
     amp = states[0].amplitudes
     for s in states[1:]:
-        amp = np.kron(amp, s.amplitudes)
+        amp = np.multiply.outer(amp, s.amplitudes).ravel()
     return StateVector(combined, amp)
 
 
@@ -239,19 +239,27 @@ def apply(u: Unitary, s: StateVector) -> StateVector:
     return StateVector(s.layout, u.matrix @ s.amplitudes)
 
 
+def _targets_first(positions: Sequence[int], ndim: int) -> tuple[int, ...]:
+    """Axis permutation that puts ``positions`` first, in the order given, and
+    the other axes after them in layout order."""
+    return tuple(positions) + tuple(i for i in range(ndim) if i not in positions)
+
+
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """The axis permutation that undoes ``perm``."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
 def apply_local(s: StateVector, u: Unitary) -> StateVector:
     """Apply a unitary acting on a subset of the state's subsystems."""
     positions = s.layout.positions(u.layout.ids)
     for name in u.layout.ids:
         if s.layout.dim_of(name) != u.layout.dim_of(name):
             raise ValueError(f"layout mismatch on subsystem {name!r}")
-    k = len(positions)
-    t = np.moveaxis(s.tensor_view(), positions, range(k))
-    front = u.layout.total_dimension
-    flat = t.reshape(front, -1)
-    out = (u.matrix @ flat).reshape(t.shape)
-    out = np.moveaxis(out, range(k), positions)
-    return StateVector(s.layout, out.reshape(-1))
+    perm = _targets_first(positions, len(s.layout.dims))
+    t = s.tensor_view().transpose(perm)
+    out = (u.matrix @ t.reshape(u.layout.total_dimension, -1)).reshape(t.shape)
+    return StateVector(s.layout, out.transpose(_inverse(perm)).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +267,13 @@ def apply_local(s: StateVector, u: Unitary) -> StateVector:
 
 
 def _target_rows(s: StateVector, b: BasisSpec) -> tuple[tuple[int, ...], np.ndarray]:
-    """Positions of the basis targets in the state, and the state as a matrix
-    with one row per joint index of those targets."""
+    """The axis permutation that puts the basis targets first, and the state
+    as a matrix with one row per joint index of those targets."""
     for name, dim in b.targets:
         if s.layout.dim_of(name) != dim:
             raise ValueError(f"basis/target mismatch on subsystem {name!r}")
-    positions = s.layout.positions(b.target_ids)
-    t = np.moveaxis(s.tensor_view(), positions, range(len(positions)))
-    return positions, t.reshape(b.dim, -1)
+    perm = _targets_first(s.layout.positions(b.target_ids), len(s.layout.dims))
+    return perm, s.tensor_view().transpose(perm).reshape(b.dim, -1)
 
 
 def born_distribution(s: StateVector, b: BasisSpec) -> dict[Label, float]:
@@ -284,12 +291,11 @@ def born_distribution(s: StateVector, b: BasisSpec) -> dict[Label, float]:
     return out
 
 
-def project(s: StateVector, b: BasisSpec, outcome: Label) -> StateVector:
-    """Collapse onto one outcome and renormalize.
-
-    Raises :class:`ZeroProbabilityError` when the outcome carries no weight.
-    """
-    positions, flat = _target_rows(s, b)
+def _component(s: StateVector, b: BasisSpec, outcome: Label) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, float]:
+    """The axis permutation of ``_target_rows``, the outcome's basis vector,
+    the state's rows contracted with its conjugate, and that residual's
+    squared norm, the outcome's probability."""
+    perm, flat = _target_rows(s, b)
     try:
         vec = b.vectors[b.labels.index(outcome)]
     except ValueError:
@@ -298,9 +304,33 @@ def project(s: StateVector, b: BasisSpec, outcome: Label) -> StateVector:
     p = float(np.vdot(residual, residual).real)
     if p <= PROB_EPS:
         raise ZeroProbabilityError(f"outcome {outcome!r} has probability {p!r}; cannot project")
-    rest = [d for i, d in enumerate(s.layout.dims) if i not in positions]
-    t = np.tensordot(vec.reshape([d for _, d in b.targets]), residual.reshape(rest), axes=0)
-    t = np.moveaxis(t, range(len(positions)), positions)
+    return perm, vec, residual, p
+
+
+def residual(s: StateVector, b: BasisSpec, outcome: Label) -> tuple[np.ndarray, float]:
+    """The state's unnormalized component on one outcome, contracted over the
+    basis targets: amplitudes over the other subsystems in layout order, and
+    the outcome's probability.  ``project`` is the basis vector times this
+    residual, over the square root of that probability.
+
+    Raises :class:`ZeroProbabilityError` when the outcome carries no weight.
+    """
+    _, _, rest, p = _component(s, b, outcome)
+    return rest, p
+
+
+def project(s: StateVector, b: BasisSpec, outcome: Label) -> StateVector:
+    """Collapse onto one outcome and renormalize.
+
+    Raises :class:`ZeroProbabilityError` when the outcome carries no weight.
+    """
+    perm, vec, rest, p = _component(s, b, outcome)
+    dims = s.layout.dims
+    # the outer product (targets) x (rest) as a matrix product, which rounds
+    # complex entries as np.tensordot does; np.multiply.outer differs in the
+    # last bits
+    t = np.dot(vec.reshape(-1, 1), rest.reshape(1, -1))
+    t = t.reshape([dims[i] for i in perm]).transpose(_inverse(perm))
     return StateVector(s.layout, t.reshape(-1) / np.sqrt(p))
 
 
@@ -309,10 +339,9 @@ def partial_trace(state: StateVector, keep: Sequence[str]) -> DensityMatrix:
     keep = list(keep)
     if not keep:
         raise ValueError("empty keep set")
-    keep_pos = state.layout.positions(keep)
+    perm = _targets_first(state.layout.positions(keep), len(state.layout.dims))
     new_layout = state.layout.sublayout(keep)
-    t = np.moveaxis(state.tensor_view(), keep_pos, range(len(keep_pos)))
-    mat = t.reshape(new_layout.total_dimension, -1)
+    mat = state.tensor_view().transpose(perm).reshape(new_layout.total_dimension, -1)
     return DensityMatrix(new_layout, mat @ mat.conj().T)
 
 

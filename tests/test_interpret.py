@@ -1473,3 +1473,107 @@ class TestEntryLimit:
         for s in scenarios:
             entries, _ = it._largest_array(s, dict(sc.layout_of(s).subsystems))
             assert entries <= it.ENTRY_LIMIT >> 12, s.name
+
+
+def _copies():
+    """A qubit copied by four agents into records of dimension 128, then
+    measured.  Built here rather than kept as a literal, since the tests
+    that run every scenario literal would meet its refusals."""
+    lines = ["scenario copies", "system S 2"]
+    lines += [f"agent a{i} record R 128 init 0" for i in range(1, 5)]
+    lines += ["observer w", "prepare state [0.6+0i, 0.8+0i] on S"]
+    lines += [f"interact a{i} on S basis basis1 record R" for i in range(1, 5)]
+    lines += ["measure w on S basis basis1 result r"]
+    return sc.parse("\n".join(lines) + "\n")
+
+
+class TestMergeLimit:
+    # no compiled array of _copies() holds more than 256^2 entries, but the
+    # copies merge into 2 * 128^4 amplitudes
+    MERGE = (r"^scenario 'copies': merging 'S', 'a1\.R', 'a2\.R', 'a3\.R', 'a4\.R' builds an array of "
+             rf"536870912 entries, over the limit of {it.ENTRY_LIMIT}$")
+
+    def test_merged_factor_is_refused_before_allocating(self):
+        # relative facts keep the copies on S, so the fourth copy merges all five
+        with pytest.raises(ValueError, match=self.MERGE):
+            it.exact_joint(_copies(), it.RuleSet.rqm5())
+
+    def test_dense_perspective_is_refused_while_the_table_answers(self):
+        # collapses split the records off, so the table needs no merge, but a
+        # sampled history's perspectives are dense over the whole layout
+        s = _copies()
+        rules = it.RuleSet.orthodox()
+        joint = it.exact_joint(s, rules)
+        assert list(joint) == [(0, 0, 0, 0, 0), (1, 1, 1, 1, 1)]
+        assert joint == pytest.approx({(0, 0, 0, 0, 0): 0.36, (1, 1, 1, 1, 1): 0.64}, abs=1e-12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=self.MERGE):
+                it.run(s, rules, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24
+
+    def test_mixed_perspective_is_refused_before_allocating(self, monkeypatch):
+        # chain(7) has 2^14 amplitudes, within the limit, but f1's view mixes
+        # 128 branch states into a 2^14 x 2^14 density matrix (4 GiB)
+        s = _chain(TestChain.PROBS8[:7])
+        with pytest.raises(ValueError, match=r"^scenario 'chain': the mixed perspective of 128 branch states builds "
+                                             rf"an array of 268435456 entries, over the limit of {it.ENTRY_LIMIT}$"):
+            it.perspective(s, it.RuleSet.orthodox(), "f1")
+        # chain(3)'s density matrix holds 64^2 entries, admitted at the limit
+        s = _chain(TestChain.PROBS8[:3])
+        monkeypatch.setattr(it, "ENTRY_LIMIT", 64 ** 2)
+        rho = it.perspective(s, it.RuleSet.orthodox(), "f1").state
+        assert isinstance(rho, qcore.DensityMatrix) and rho.matrix.size == it.ENTRY_LIMIT
+        monkeypatch.setattr(it, "ENTRY_LIMIT", 64 ** 2 - 1)
+        with pytest.raises(ValueError, match="the mixed perspective of 8 branch states builds an array of 4096 entries"):
+            it.perspective(s, it.RuleSet.orthodox(), "f1")
+
+
+# a pointer basis whose vectors carry the phases i and -1
+PHASED = """scenario phased
+system S 2
+system T 3
+system U 2
+observer w
+basis ph on 2 labels 0, 1 vectors [0+1i, 0+0i] ; [0+0i, -1+0i]
+prepare state [0.6+0i, 0.8+0i] on S
+measure w on S basis ph result r
+"""
+
+
+@pytest.mark.parametrize("targets,vectors", [
+    ((("U", 2),), np.eye(2)),
+    ((("U", 2),), np.array([[1j, 0], [0, -1]])),
+    ((("U", 2), ("S", 2)), np.diag([1j, -1, -1j, 1])),
+    ((("T", 3), ("S", 2)), np.diag([1, 1j, -1, -1j, 1j, -1])),
+])
+def test_split_residual_is_the_row_of_the_projected_tensor(targets, vectors):
+    # the split builds the rest without the projected tensor; it must equal
+    # row k of that tensor over vec[k], bit for bit.  Products with the
+    # phases 1, i, -1 and -i are exact, so this holds whichever routine,
+    # BLAS or numpy's loops, forms the tensor
+    comp = it._plan(sc.parse(PHASED), it.RuleSet.orthodox())
+    factor = qcore.random_state(comp.layout, np.random.default_rng(5))
+    spec = qcore.BasisSpec(targets, vectors, tuple(range(len(vectors))))
+    positions = comp.layout.positions(spec.target_ids)
+    for k, label in enumerate(spec.labels):
+        measured, rest = it._project(comp, factor, spec, label, True)
+        projected = qcore.project(factor, spec, label)
+        rows = np.moveaxis(projected.tensor_view(), positions, range(len(positions))).reshape(spec.dim, -1)
+        assert rest.layout.ids == tuple(i for i in comp.layout.ids if i not in spec.target_ids)
+        assert np.array_equal(rest.amplitudes, rows[k] / vectors[k][k])
+        assert measured.layout.ids == tuple(sorted(spec.target_ids, key=comp.order.get))
+
+
+def test_declared_phases_split_like_the_pointer_states():
+    s = sc.parse(PHASED)
+    for kind in it.RULE_KINDS:
+        comp = it._plan(s, it.RuleSet(kind))
+        leaves = list(it._walk(comp))
+        assert [labels for _, _, labels, _ in leaves] == [(0,), (1,)]
+        assert [probs[0] for _, probs, _, _ in leaves] == pytest.approx([0.36, 0.64], abs=1e-12)
+        for state, _, _, _ in leaves:
+            assert [f.layout.ids for f in dict.fromkeys(state)] == [("S",), ("T",), ("U",)]

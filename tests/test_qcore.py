@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -88,6 +88,101 @@ def test_apply_local_matches_explicit_embedding():
     full = np.kron(q, np.eye(2))
     expected = qc.permute(qc.StateVector(s_perm.layout, full @ s_perm.amplitudes), ["a", "b", "c"])
     assert np.allclose(got.amplitudes, expected.amplitudes)
+
+
+# the axis handling the kernel replaced (np.moveaxis there and back, the
+# projected tensor from np.tensordot): the kernel must reproduce it bit for bit
+
+
+def _moveaxis_rows(s, ids, dim):
+    positions = s.layout.positions(ids)
+    t = np.moveaxis(s.tensor_view(), positions, range(len(positions)))
+    return positions, t, t.reshape(dim, -1)
+
+
+def _moveaxis_apply_local(s, u):
+    positions, t, flat = _moveaxis_rows(s, u.layout.ids, u.layout.total_dimension)
+    out = (u.matrix @ flat).reshape(t.shape)
+    return np.moveaxis(out, range(len(positions)), positions).reshape(-1)
+
+
+def _moveaxis_born(s, b):
+    _, _, flat = _moveaxis_rows(s, b.target_ids, b.dim)
+    residuals = [vec.conj() @ flat for vec in b.vectors]
+    return {label: float(np.vdot(r, r).real) for label, r in zip(b.labels, residuals)}
+
+
+def _tensordot_project(s, b, outcome):
+    positions, _, flat = _moveaxis_rows(s, b.target_ids, b.dim)
+    vec = b.vectors[b.labels.index(outcome)]
+    residual = vec.conj() @ flat
+    p = float(np.vdot(residual, residual).real)
+    rest = [d for i, d in enumerate(s.layout.dims) if i not in positions]
+    t = np.tensordot(vec.reshape([d for _, d in b.targets]), residual.reshape(rest), axes=0)
+    return np.moveaxis(t, range(len(positions)), positions).reshape(-1) / np.sqrt(p)
+
+
+def _moveaxis_partial_trace(s, keep):
+    _, _, mat = _moveaxis_rows(s, keep, int(np.prod([s.layout.dim_of(k) for k in keep])))
+    return mat @ mat.conj().T
+
+
+def _random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def _dense_on_targets(s, ids, op):
+    """op (x) I on the state reordered to (targets, rest), as an explicit
+    matrix, and the unnormalized result back in layout order."""
+    rest = [i for i in s.layout.ids if i not in ids]
+    front = qc.permute(s, list(ids) + rest)
+    d_rest = int(np.prod([s.layout.dim_of(i) for i in rest]))
+    out = np.kron(op, np.eye(d_rest)) @ front.amplitudes
+    norm = float(np.linalg.norm(out))
+    back = qc.permute(qc.StateVector(front.layout, out / norm), s.layout.ids)
+    return back.amplitudes * norm
+
+
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=1, max_size=4),
+    order=st.permutations(range(4)),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(dims=[2, 3, 2, 3], order=[3, 1, 0, 2], k=2, seed=7)  # two targets, reversed and not adjacent
+@settings(max_examples=80, deadline=None)
+def test_kernel_axis_handling_matches_moveaxis_and_dense_oracle(dims, order, k, seed):
+    rng = np.random.default_rng(seed)
+    layout = qc.SpaceLayout(tuple((f"s{i}", d) for i, d in enumerate(dims)))
+    targets = tuple(layout.subsystems[i] for i in order if i < len(dims))[:k]
+    ids = tuple(name for name, _ in targets)
+    s = qc.random_state(layout, rng)
+    d = int(np.prod([dim for _, dim in targets]))
+
+    u = qc.Unitary(qc.SpaceLayout(targets), _random_unitary(rng, d))
+    got = qc.apply_local(s, u).amplitudes
+    assert np.array_equal(got, _moveaxis_apply_local(s, u))
+    assert np.allclose(got, _dense_on_targets(s, ids, u.matrix), atol=1e-12, rtol=0)
+
+    b = qc.BasisSpec(targets, _random_unitary(rng, d).T.copy(), tuple(range(d)))
+    born = qc.born_distribution(s, b)
+    assert born == _moveaxis_born(s, b)
+    for label, vec in zip(b.labels, b.vectors):
+        projector = np.outer(vec, vec.conj())
+        dense = _dense_on_targets(s, ids, projector)
+        p = float(np.vdot(dense, dense).real)
+        assert born[label] == pytest.approx(p, abs=1e-12)
+        got = qc.project(s, b, label).amplitudes
+        assert np.array_equal(got, _tensordot_project(s, b, label))
+        assert np.allclose(got, dense / np.sqrt(p), atol=1e-12, rtol=0)
+
+    rho = qc.partial_trace(s, ids).matrix
+    assert np.array_equal(rho, _moveaxis_partial_trace(s, ids))
+    rest = [i for i in layout.ids if i not in ids]
+    psi = qc.permute(s, list(ids) + rest).amplitudes.reshape(d, -1)
+    dense_rho = np.einsum("ajbj->ab", np.einsum("aj,bk->ajbk", psi, psi.conj()))
+    assert np.allclose(rho, dense_rho, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
