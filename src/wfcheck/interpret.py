@@ -94,9 +94,8 @@ collapsed since; otherwise enumeration raises
 their first outcome and raises the first error it meets, never one of a
 block it does not read.  ``run`` builds the ledger and the anomaly notes
 for its sampled history only, and raises only the errors of its path.
-``perspective`` walks the whole plan in one pass and raises that walk's
-first error, so on a scenario with two failing blocks it can name a
-different fact from the one the tables name.
+``perspective`` walks the whole plan in one pass; when that walk fails, it
+raises the error the tables raise.
 
 ``run`` samples one history, ``exact_joint``/``predicted_distribution``
 enumerate every branch exactly, and ``perspective`` reconstructs the
@@ -593,8 +592,8 @@ def _blocks(
 
 # one entry per layout position: the factor holding that subsystem.  Factors
 # are over disjoint subsystems, each in layout order, so a factor spanning k
-# subsystems fills k entries; branches holding the same factor objects share
-# a state node
+# subsystems fills k entries; a factor that no event has touched since two
+# branches parted is one object in both
 _State = tuple[qcore.StateVector, ...]
 
 
@@ -637,11 +636,11 @@ def _product(comp: _Compiled, state: _State) -> qcore.StateVector:
     return qcore.StateVector(qcore.SpaceLayout(tuple(subsystems[a] for a in perm)), amps)
 
 
-def _shared(memo: dict, nodes: _State, key, work, *args):
-    """``work(*args)`` once per walk for the factors ``nodes`` and ``key``, its
-    event or basis.  Factors compare by identity, and a factor a group leaves
-    alone is one object in every branch."""
-    k = (nodes, key)
+def _shared(memo: dict, factors: tuple[qcore.StateVector, ...], key, work, *args):
+    """``work(*args)`` once per walk for the distinct ``factors`` and ``key``,
+    the event or basis the work is for.  Factors compare by identity, and a
+    factor a group leaves alone is one object in every branch."""
+    k = (factors, key)
     out = memo.get(k, memo)
     if out is memo:
         out = memo[k] = work(*args)
@@ -706,22 +705,6 @@ def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerE
     return entries
 
 
-def _evolve(memo: dict, comp: _Compiled, state: _State, group: _Group) -> _State:
-    """The group's interaction unitaries, in event order."""
-    for ev in group.dynamics:
-        factor = _touch(memo, comp, state, ev.unitary.layout.ids)
-        evolved = _shared(memo, (factor,), ("apply", ev.index), qcore.apply_local, factor, ev.unitary)
-        state = _with(comp, state, (evolved,))
-    return state
-
-
-def _split(memo: dict, comp: _Compiled, state: _State, step: _CMeasure) -> list[tuple[Label, float, _State]]:
-    """(label, p, projected state) for each outcome of a collapsing step."""
-    factor = _touch(memo, comp, state, step.spec.target_ids)
-    outcomes = _shared(memo, (factor,), ("outcomes", step.index), _outcomes, memo, comp, factor, step)
-    return [(label, p, _with(comp, state, parts)) for label, p, parts in outcomes]
-
-
 def _outcomes(memo: dict, comp: _Compiled, factor: qcore.StateVector, step: _CMeasure) -> list[tuple[Label, float, _State]]:
     """(label, p, projected factors) for each reachable outcome of a collapsing step on ``factor``."""
     split = step.index not in comp.rejoined
@@ -731,15 +714,10 @@ def _outcomes(memo: dict, comp: _Compiled, factor: qcore.StateVector, step: _CMe
     ]
 
 
-def _conditioned(memo: dict, comp: _Compiled, state: _State, ev: _CInteract, facts) -> list[tuple[Label, float]]:
-    """An agent outcome's distribution given its pool's earlier facts."""
-    factor = _touch(memo, comp, state, (ev.record,) + tuple(key for key, _ in facts))
-    return _shared(memo, (factor,), ("condition", ev.index, facts), _fact_distribution, memo, comp, factor, ev, facts)
-
-
 def _fact_distribution(
     memo: dict, comp: _Compiled, factor: qcore.StateVector, ev: _CInteract, facts,
 ) -> list[tuple[Label, float]]:
+    """An agent outcome's distribution on ``factor`` given its pool's earlier facts."""
     for key, value in facts:
         try:
             factor = qcore.project(factor, comp.writers[key].readout, value)
@@ -752,25 +730,11 @@ def _fact_distribution(
     return [(label, p) for label, p in dist.items() if p > qcore.PROB_EPS]
 
 
-def _pinned_child(memo: dict, comp: _Compiled, ev: _CMeasure, at: int, branch: _Branch) -> _Branch:
-    state, probs, labels, pins = branch
-    value = labels[at]
-    record, state = _shared(memo, state, ("pin", ev.index, value), _pinned, memo, comp, state, ev, value)
-    return state, probs + (1.0,), labels + (value,), pins + (record,)
-
-
-def _pinned(memo: dict, comp: _Compiled, state: _State, ev: _CMeasure, value: Label) -> tuple[PinRecord, _State]:
-    """The pin record and the pinned state; a pin onto a zero-probability
-    outcome leaves the state unprojected."""
-    factor = _touch(memo, comp, state, ev.spec.target_ids)
-    record, parts = _shared(memo, (factor,), ("pinned", ev.index, value), _pin, memo, comp, factor, ev, value)
-    return record, state if parts is None else _with(comp, state, parts)
-
-
 def _pin(memo: dict, comp: _Compiled, factor: qcore.StateVector, ev: _CMeasure, value: Label):
+    """The pin record and the pinned factors; a pin onto a zero-probability outcome leaves ``factor`` as it is."""
     p = float(_born(memo, factor, ev.spec).get(value, 0.0))
     anomalous = p <= qcore.PROB_EPS
-    parts = None if anomalous else _collapsed(memo, comp, factor, ev.spec, value, ev.index not in comp.rejoined)
+    parts = (factor,) if anomalous else _collapsed(memo, comp, factor, ev.spec, value, ev.index not in comp.rejoined)
     return PinRecord(ev.index, ev.observer, ev.pin, value, p, anomalous), parts
 
 
@@ -820,25 +784,35 @@ def _check_commuting(layout: qcore.SpaceLayout, evs: tuple[_CEvent, ...]) -> Non
 
 
 def _expand_group(comp: _Compiled, group: _Group, branch: _Branch, memo: dict) -> list[_Branch]:
+    """The children of ``branch`` through one group: each event merges the factors
+    its support touches, shares its kernel work on them, and puts the result back."""
     state, probs, labels, pins = branch
     # dynamics first: all unitaries act before any outcome is drawn
-    if group.dynamics:
-        state = _shared(memo, state, ("evolve", group.dynamics[0].index), _evolve, memo, comp, state, group)
+    for ev in group.dynamics:
+        factor = _touch(memo, comp, state, ev.unitary.layout.ids)
+        evolved = _shared(memo, (factor,), ("apply", ev.index), qcore.apply_local, factor, ev.unitary)
+        state = _with(comp, state, (evolved,))
     children = [(state, probs, labels, pins)]
     # simultaneous facts: each conditional sees pre-group facts only
     for ev, pool in group.draws:
         facts = tuple((key, labels[at]) for at, key in pool)
-        dist = _shared(memo, state, ("conditioned", ev.index, facts), _conditioned, memo, comp, state, ev, facts)
+        factor = _touch(memo, comp, state, (ev.record,) + tuple(key for key, _ in facts))
+        dist = _shared(memo, (factor,), ("condition", ev.index, facts),
+                       _fact_distribution, memo, comp, factor, ev, facts)
         children = [(s, pr + (p,), ls + (label,), ps) for s, pr, ls, ps in children for label, p in dist]
     for step, at in group.steps:
-        if at is not None:
-            children = [_pinned_child(memo, comp, step, at, child) for child in children]
-        else:
-            children = [
-                (projected, pr + (p,), ls + (label,), ps)
-                for s, pr, ls, ps in children
-                for label, p, projected in _shared(memo, s, ("split", step.index), _split, memo, comp, s, step)
-            ]
+        expanded = []
+        for s, pr, ls, ps in children:
+            factor = _touch(memo, comp, s, step.spec.target_ids)
+            if at is None:
+                outcomes = _shared(memo, (factor,), ("outcomes", step.index), _outcomes, memo, comp, factor, step)
+                expanded += [(_with(comp, s, parts), pr + (p,), ls + (label,), ps) for label, p, parts in outcomes]
+            else:
+                value = ls[at]
+                record, parts = _shared(memo, (factor,), ("pinned", step.index, value),
+                                        _pin, memo, comp, factor, step, value)
+                expanded.append((_with(comp, s, parts), pr + (1.0,), ls + (value,), ps + (record,)))
+        children = expanded
     return children
 
 
@@ -851,9 +825,10 @@ def _walk(comp: _Compiled, block: _Block | None = None) -> Iterator[_Branch]:
     """The leaves of the branch tree of the whole plan, or of one block,
     depth first, from the prepared initial state.  Children are visited in
     the order a group expands them, so the leaves come in the order of a
-    breadth-first expansion.  One memo serves the whole walk: step results
-    per state node, kernel work per factor.  A tree whose leaf bound exceeds
-    ``BRANCH_LIMIT`` is refused before anything is expanded."""
+    breadth-first expansion.  One memo serves the whole walk, keyed by the
+    factors each piece of kernel work reads, so branches that hold the same
+    factors share it.  A tree whose leaf bound exceeds ``BRANCH_LIMIT`` is
+    refused before anything is expanded."""
     plan = comp if block is None else block
     _refuse_over_limit(comp, plan.leaf_bound)
     groups = plan.groups
@@ -929,44 +904,42 @@ def _observer_names(s: sc.Scenario) -> list[str]:
 
 
 def _agent_view(
-    comp: _Compiled, node: _State, outcomes: tuple[tuple[str, Label], ...], name: str, memo: dict,
+    comp: _Compiled, state: _State, outcomes: tuple[tuple[str, Label], ...], name: str, memo: dict,
 ) -> tuple[_State, list[tuple[str, Label]]]:
     """A branch state conditioned on the intact facts ``name`` holds among the
-    branch's (outcome key, label) pairs, and those facts; branches that share
-    a state node and those facts share one view."""
+    branch's (outcome key, label) pairs, and those facts.  Each projection is
+    shared per factor, so branches that hold the same factors and facts get
+    views of the same factors."""
     held = [
         (key, value) for key, value in outcomes
         if key in comp.intact_records and comp.writers[key].agent == name
     ]
+    for key, value in held:
+        readout = comp.writers[key].readout
+        factor = _touch(memo, comp, state, readout.target_ids)
+        state = _with(comp, state, _shared(memo, (factor,), ("view", key, value), _viewed, factor, readout, value))
+    return state, held
 
-    def view():
-        state = node
-        for key, value in held:
-            readout = comp.writers[key].readout
-            factor = _touch(memo, comp, state, readout.target_ids)
-            # a stable collapse on an entangled partner can strip a
-            # relative fact of support; it stays known, but cannot
-            # steer the state.  The view is made dense next, so nothing
-            # is split off.
-            try:
-                state = _with(comp, state, _collapsed(memo, comp, factor, readout, value, False))
-            except qcore.ZeroProbabilityError:
-                pass
-        return state
 
-    return _shared(memo, node, ("view", tuple(held)), view), held
+def _viewed(factor: qcore.StateVector, readout: qcore.BasisSpec, value: Label) -> _State:
+    """``factor`` conditioned on a held fact, unsplit since the view is made dense
+    next.  A stable collapse on an entangled partner can strip the fact of
+    support; it stays known, but cannot steer the state."""
+    try:
+        return (qcore.project(factor, readout, value),)
+    except qcore.ZeroProbabilityError:
+        return (factor,)
 
 
 def _branch_perspective(
-    comp: _Compiled, node: _State, outcomes: tuple[tuple[str, Label], ...], name: str, memo: dict,
+    comp: _Compiled, state: _State, outcomes: tuple[tuple[str, Label], ...], name: str, memo: dict,
 ) -> PerspectiveState:
-    state, knowledge = _agent_view(comp, node, outcomes, name, memo)
+    state, knowledge = _agent_view(comp, state, outcomes, name, memo)
     own_results = {ev.result for ev in comp.events if isinstance(ev, _CMeasure) and ev.observer == name}
     for key, value in outcomes:
         if key in own_results:
             knowledge.append((key, value))
-    dense = _shared(memo, state, ("dense",), _product, comp, state)
-    return PerspectiveState(name, dense, tuple(knowledge))
+    return PerspectiveState(name, _touch(memo, comp, state, comp.layout.ids), tuple(knowledge))
 
 
 def outcome_keys(s: sc.Scenario) -> tuple[str, ...]:
@@ -1110,10 +1083,6 @@ def perspective(
     timeline.  Unknown outcomes are mixed over; ``given`` filters branches by
     result names or record keys, fixing what the observer is taken to know.
     Returns a StateVector when the mixture is pure, else a DensityMatrix.
-
-    The plan of events 0..after is walked whole, not block by block, so of
-    two blocks whose conditioning fails this raises the error the single
-    walk meets first, which need not be the one ``exact_joint`` raises.
     """
     _plans_of(s)  # validates s once; a truncated timeline of a valid scenario is valid
     if observer not in _observer_names(s):
@@ -1138,13 +1107,18 @@ def perspective(
             raise ValueError(f"given key {key!r} is not an outcome of the first {after + 1} events")
     kept: list[tuple[_State, float, tuple[tuple[str, Label], ...]]] = []
     known: list[dict[str, Label]] = []  # each kept leaf's outcomes
-    for state, probs, labels, _ in _walk(tcomp):
-        outcomes = tuple(zip(tcomp.slots, labels))
-        values = dict(outcomes)
-        if any(values.get(k) != v for k, v in given.items()):
-            continue
-        kept.append((state, _weight(probs), outcomes))
-        known.append(values)
+    try:
+        for state, probs, labels, _ in _walk(tcomp):
+            outcomes = tuple(zip(tcomp.slots, labels))
+            values = dict(outcomes)
+            if any(values.get(k) != v for k, v in given.items()):
+                continue
+            kept.append((state, _weight(probs), outcomes))
+            known.append(values)
+    except ValueError:
+        # raise the tables' error: the first one met walking the blocks in order
+        _trees(tcomp, tcomp.blocks)
+        raise
     total = sum(weight for _, weight, _ in kept)
     if not kept or total <= qcore.PROB_EPS:
         raise ValueError(f"no branch is compatible with {given!r}")
@@ -1158,7 +1132,7 @@ def perspective(
 
 
 def _mixture(comp: _Compiled, states: list[tuple[float, _State]]) -> Union[qcore.StateVector, qcore.DensityMatrix]:
-    # branches sharing a state node, the same factors, contribute one outer product
+    # branches holding the same factors contribute one outer product
     nodes: dict[_State, list] = {}
     for w, state in states:
         nodes.setdefault(state, [0.0, state])[0] += w

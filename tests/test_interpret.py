@@ -994,12 +994,17 @@ def _first_block_error(comp):
 
 def _assert_raises_the_first_block_error(s, rules, walked):
     # the single walk and the table fail alike, and the table's error is
-    # its first block's
-    first = _first_block_error(it._plan(s, rules))
+    # its first block's; every observer's perspective raises that error too
+    comp = it._plan(s, rules)
+    first = _first_block_error(comp)
     assert type(first) is type(walked)
     with pytest.raises(type(walked)) as info:
         it.exact_joint(s, rules)
     assert str(info.value) == str(first)
+    for name in comp.observers:
+        with pytest.raises(type(walked)) as info:
+            it.perspective(s, rules, name)
+        assert str(info.value) == str(first)
 
 
 def _scenario_literals():
@@ -1162,6 +1167,16 @@ def test_errors_follow_the_block_order():
             query()
     with pytest.raises(qcore.ZeroProbabilityError, match="'bob.B1'=0"):
         it.predicted_distribution(s, rules, "w", "rb")
+    # perspective walks the whole plan, yet raises the tables' error; before
+    # alice's second interaction (after=8) only bob's block fails
+    for name in ("alice", "bob", "w"):
+        with pytest.raises(qcore.ZeroProbabilityError, match="'alice.A1'=0"):
+            it.perspective(s, rules, name, after=9)
+        with pytest.raises(qcore.ZeroProbabilityError, match="'bob.B1'=0"):
+            it.perspective(s, rules, name, after=8)
+    truncated = sc.Scenario(s.name, s.systems, s.agents, s.observers, s.bases, s.timeline[:9])
+    with pytest.raises(qcore.ZeroProbabilityError, match="'bob.B1'=0"):
+        it.exact_joint(truncated, rules)
     # without alice's second interaction her block answers; bob's still fails
     s = sc.parse(TWO_FAILURES.replace("interact alice on S2 basis basis1 record A2\n", ""))
     got = it.predicted_distribution(s, rules, "w", "ra")
