@@ -22,7 +22,12 @@ not per value: two equal scenarios can report labels of different types
 (1 and 1.0 compare equal).  A scenario that holds a list, or any other
 value that does not hash, can change after it validated; it is validated
 and compiled again on every call and nothing is kept for it.  Only plans
-are kept, never a table, a walk or a Born distribution.
+are kept, never a table, a walk or a Born distribution.  Besides what
+compilation fixes, a plan keeps two tables that its branches fill on first
+use: the layout of each merged or residual factor, one per subsystem tuple,
+and the factor each pointer outcome splits off, one per (basis, outcome).
+Their keys come from the plan alone, so they stay bounded by it and stop
+growing once each kind of branch step has run.
 
 Compilation holds everything the timeline and the rules fix: the initial
 state, the interaction that writes each record, each interaction's
@@ -75,15 +80,22 @@ factors an event touches costs the size of its support, not the number of
 factors.  At the start each preparation's targets share its factor and
 every other subsystem is its own.  An interaction, measurement, readout or
 conditioning merges only the factors its support touches and runs the
-kernel on that merge.  A projection onto a pointer state splits the
-measured targets back off, exactly, unless a later event joins them with
-other subsystems again.  Kernel work is shared per factor within a walk,
-through one memo keyed by the factors and the event or basis the work is
-for: a factor a group leaves alone is one object in every branch, and each
-distinct factor is evolved, measured and projected once, its Born
-distribution in a basis once.  Perspectives are built dense, over the
-whole layout in declaration order (the design follows the product-state
-simulators of Cirq, https://github.com/quantumlib/Cirq).
+kernel on that merge; a merge is one ``qcore.outer`` per factor and at most
+one transpose into layout order, over a layout the plan keeps.  A
+projection onto a pointer state splits the measured targets back off,
+exactly, unless a later event joins them with other subsystems again: the
+basis knows which of its rows are pointer states, the residual is built
+over a kept layout, and the measured targets become the plan's one factor
+for that outcome, shared by every branch and every walk.  Kernel work is
+shared per factor within a walk, through one memo keyed by the factors and
+the event or basis the work is for: a factor a group leaves alone is one
+object in every branch, and each distinct factor is evolved, measured and
+projected once, its Born distribution in a basis once.  A shared pointer
+factor never makes two branch states one: the residual split off with it
+is the branch's own, so states that differed still differ.  Perspectives
+are built dense, over the whole layout in declaration order (the design
+follows the product-state simulators of Cirq,
+https://github.com/quantumlib/Cirq).
 
 Agent outcomes under ``rqm5``/``cpl`` are weighted by the Born rule on
 the branch state conditioned on the pool's facts from earlier groups.
@@ -136,7 +148,7 @@ import operator
 import random
 import weakref
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Union
 
@@ -306,6 +318,11 @@ class _Compiled:
     point_order: tuple[int, ...] | None  # slots in outcome_keys order; None when that is slot order
     leaf_bound: int  # product over outcomes of the labels each can reach
     blocks: tuple[_Block, ...]  # the independent parts, by first slot
+    # filled as branches need them and kept with the plan: the layout of each
+    # merged or residual factor by its subsystems, and the factor a pointer
+    # outcome splits off by (id of its basis, row)
+    layouts: dict[tuple[tuple[str, int], ...], qcore.SpaceLayout] = field(default_factory=dict, compare=False)
+    pointers: dict[tuple[int, int], qcore.StateVector] = field(default_factory=dict, compare=False)
 
 
 def _state_amplitudes(expr: sc.StateExpr) -> np.ndarray:
@@ -623,17 +640,27 @@ def _product(comp: _Compiled, state: _State) -> qcore.StateVector:
         return qcore.StateVector(qcore.SpaceLayout(()), np.ones(1, dtype=complex))
     if len(factors) == 1:
         return factors[0]
-    subsystems = [sub for f in factors for sub in f.layout.subsystems]
+    subsystems = tuple(sub for f in factors for sub in f.layout.subsystems)
     perm = sorted(range(len(subsystems)), key=lambda a: comp.order[subsystems[a][0]])
+    merged = tuple(subsystems[a] for a in perm)
     entries = prod(f.layout.total_dimension for f in factors)
     if entries > ENTRY_LIMIT:
-        ids = ", ".join(repr(subsystems[a][0]) for a in perm)
+        ids = ", ".join(repr(sid) for sid, _ in merged)
         raise _over_limit(comp.name, f"merging {ids}", entries)
     amps = factors[0].amplitudes
     for f in factors[1:]:
-        amps = np.multiply.outer(amps, f.amplitudes).ravel()
-    amps = amps.reshape([d for _, d in subsystems]).transpose(perm).reshape(-1)
-    return qcore.StateVector(qcore.SpaceLayout(tuple(subsystems[a] for a in perm)), amps)
+        amps = qcore.outer(amps, f.amplitudes)
+    if merged != subsystems:
+        amps = amps.reshape([d for _, d in subsystems]).transpose(perm).reshape(-1)
+    return qcore.StateVector(_layout(comp, merged), amps)
+
+
+def _layout(comp: _Compiled, subsystems: tuple[tuple[str, int], ...]) -> qcore.SpaceLayout:
+    """The plan's layout over ``subsystems``, built and checked on first use."""
+    layout = comp.layouts.get(subsystems)
+    if layout is None:
+        layout = comp.layouts[subsystems] = qcore.SpaceLayout(subsystems)
+    return layout
 
 
 def _shared(memo: dict, factors: tuple[qcore.StateVector, ...], key, work, *args):
@@ -685,17 +712,28 @@ def _project(
     is a pointer state (one nonzero entry k) the measured targets split off
     exactly: the rest is row k of the projected tensor, built here by the
     same operations without the tensor."""
-    vec = spec.vectors[spec.labels.index(label)]
-    (nonzero,) = np.nonzero(vec)
-    if not split or len(nonzero) != 1 or len(spec.targets) == len(factor.layout.subsystems):
+    row = spec.row(label)
+    k = spec.pointers[row]
+    if not split or k is None or len(spec.targets) == len(factor.layout.subsystems):
         return (qcore.project(factor, spec, label),)
-    k = nonzero[0]
     residual, p = qcore.residual(factor, spec, label)
-    rest = qcore.SpaceLayout(tuple(s for s in factor.layout.subsystems if s[0] not in spec.target_ids))
-    measured = qcore.StateVector(qcore.SpaceLayout(spec.targets), vec)
-    if len(spec.targets) > 1:
-        measured = qcore.permute(measured, sorted(spec.target_ids, key=comp.order.get))
-    return (measured, qcore.StateVector(rest, ((vec[k] * residual) / np.sqrt(p)) / vec[k]))
+    rest = _layout(comp, tuple(s for s in factor.layout.subsystems if s[0] not in spec.target_ids))
+    vec = spec.vectors[row]
+    return (_pointer_factor(comp, spec, row), qcore.StateVector(rest, ((vec[k] * residual) / np.sqrt(p)) / vec[k]))
+
+
+def _pointer_factor(comp: _Compiled, spec: qcore.BasisSpec, row: int) -> qcore.StateVector:
+    """The factor a pointer outcome splits off: the basis row over the
+    measured targets, in layout order.  The plan keeps one per (basis, row),
+    so every branch and every walk of the plan shares it."""
+    key = (id(spec), row)
+    measured = comp.pointers.get(key)
+    if measured is None:
+        measured = qcore.StateVector(qcore.SpaceLayout(spec.targets), spec.vectors[row])
+        if len(spec.targets) > 1:
+            measured = qcore.permute(measured, sorted(spec.target_ids, key=comp.order.get))
+        comp.pointers[key] = measured
+    return measured
 
 
 def _fact_entries(ev: _CInteract, label: Label, rules: RuleSet) -> tuple[LedgerEntry, ...]:

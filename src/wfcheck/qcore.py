@@ -9,6 +9,14 @@ joint bases of several separate readouts built by ``product_basis``),
 the partial trace of a pure state, and the pre-measurement unitaries that
 copy a measured basis index onto a fresh record subsystem.
 
+Every ``StateVector``, ``DensityMatrix``, ``Unitary`` and ``BasisSpec`` is
+checked when it is built.  What calls would otherwise recompute is
+computed there once: a layout's ids, dimensions, total dimension and
+position index, and a basis's conjugated rows, the row of each outcome
+and the pointer index of each row.  Tensor products go through
+``outer``, which makes the same multiplies as ``np.multiply.outer`` in
+long ufunc calls whichever operand is shorter.
+
 All floating-point comparisons use the absolute tolerance
 ``DEFAULT_ATOL`` = 1e-10, each written so that NaN fails it.  Each call
 acts on one dense vector, which is meant to stay small (a few thousand
@@ -51,46 +59,43 @@ def _as_state_array(values: Iterable[complex]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceLayout:
-    """Ordered collection of named subsystems with fixed dimensions."""
+    """Ordered collection of named subsystems with fixed dimensions.
+
+    The attributes ``ids`` and ``dims`` (tuples in subsystem order) and
+    ``total_dimension`` are computed once, in the loop that checks the
+    layout, together with the index behind ``position``: the interpret
+    engine reads them for every factor an event touches.  They are derived
+    values, not dataclass fields.
+    """
 
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        index: dict[str, int] = {}
+        total = 1
         for name, dim in self.subsystems:
-            if name in seen:
+            if name in index:
                 raise ValueError(f"duplicate subsystem identifier {name!r}")
-            seen.add(name)
+            index[name] = len(index)
             if dim < 2:
                 raise ValueError(f"subsystem {name!r} has dimension {dim}; every dimension must be >= 2")
-
-    # cached: the interpret engine reads the ids of every state factor per event
-    @functools.cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.subsystems)
-
-    @functools.cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
-
-    @property
-    def total_dimension(self) -> int:
-        out = 1
-        for _, dim in self.subsystems:
-            out *= dim
-        return out
+            total *= dim
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "ids", tuple(index))
+        object.__setattr__(self, "dims", tuple(dim for _, dim in self.subsystems))
+        object.__setattr__(self, "total_dimension", total)
 
     def position(self, name: str) -> int:
-        for i, (sid, _) in enumerate(self.subsystems):
-            if sid == name:
-                return i
-        raise KeyError(f"unknown subsystem {name!r}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"unknown subsystem {name!r}") from None
 
     def positions(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.position(n) for n in names)
 
     def dim_of(self, name: str) -> int:
-        return self.subsystems[self.position(name)][1]
+        return self.dims[self.position(name)]
 
     def sublayout(self, names: Sequence[str]) -> "SpaceLayout":
         """Layout over ``names`` in the order given."""
@@ -168,6 +173,12 @@ class BasisSpec:
 
     ``vectors`` has one row per outcome and must span the subset's space;
     ``labels`` names the outcomes and must be pairwise distinct.
+
+    The attributes ``target_ids``, ``dim``, ``conjugate`` (the conjugated
+    rows that measurements contract with) and ``pointers`` (each row's
+    pointer index: its one nonzero entry, else None) are computed once,
+    when the basis is checked, together with the index behind ``row``.
+    They are derived values, not dataclass fields.
     """
 
     targets: tuple[tuple[str, int], ...]
@@ -178,31 +189,39 @@ class BasisSpec:
         arr = np.asarray(self.vectors, dtype=np.complex128)
         object.__setattr__(self, "vectors", arr)
         object.__setattr__(self, "labels", tuple(self.labels))
-        d = self.dim
+        object.__setattr__(self, "target_ids", tuple(name for name, _ in self.targets))
+        d = 1
+        for _, dim in self.targets:
+            d *= dim
+        object.__setattr__(self, "dim", d)
         if arr.ndim != 2 or arr.shape[1] != d:
             raise ValueError(f"basis vectors have shape {arr.shape}, expected (k, {d})")
         if arr.shape[0] != d:
             raise ValueError(f"basis has {arr.shape[0]} vectors but the target space has dimension {d}; a basis must span it")
         if len(self.labels) != arr.shape[0]:
             raise ValueError("one label per basis vector is required")
-        if len(set(self.labels)) != len(self.labels):
+        rows = {label: i for i, label in enumerate(self.labels)}
+        if len(rows) != len(self.labels):
             raise ValueError("basis labels must be pairwise distinct")
-        gram = arr.conj() @ arr.T
+        conjugate = arr.conj()
+        gram = conjugate @ arr.T
         if not float(np.max(np.abs(gram - np.eye(arr.shape[0])))) <= DEFAULT_ATOL:
             raise ValueError("basis vectors are not orthonormal within tolerance")
+        nonzero = arr != 0
+        single = np.count_nonzero(nonzero, axis=1) == 1
+        first = np.argmax(nonzero, axis=1)
         arr.setflags(write=False)
+        conjugate.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "conjugate", conjugate)
+        object.__setattr__(self, "pointers", tuple(int(k) if one else None for k, one in zip(first, single)))
 
-    @property
-    def dim(self) -> int:
-        d = 1
-        for _, dim in self.targets:
-            d *= dim
-        return d
-
-    # cached: the interpret engine reads it for every branch an outcome step expands
-    @functools.cached_property
-    def target_ids(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.targets)
+    def row(self, outcome: Label) -> int:
+        """The row of the outcome labelled ``outcome``."""
+        try:
+            return self._rows[outcome]
+        except KeyError:
+            raise KeyError(f"unknown outcome {outcome!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +238,26 @@ def tensor(*states: StateVector) -> StateVector:
     combined = SpaceLayout(tuple(sub for s in states for sub in s.layout.subsystems))
     amp = states[0].amplitudes
     for s in states[1:]:
-        amp = np.multiply.outer(amp, s.amplitudes).ravel()
+        amp = outer(amp, s.amplitudes)
     return StateVector(combined, amp)
+
+
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The flat outer product of two flat complex arrays, ``a`` varying slowest.
+
+    Each entry is the same ``a[i] * b[j]`` multiply as in
+    ``np.multiply.outer(a, b).ravel()``, bit for bit, but a short ``b`` is
+    not the inner loop: when ``b`` is the shorter operand the product is
+    filled one column per entry of ``b``, each a ufunc call over all of
+    ``a``.
+    """
+    out = np.empty((len(a), len(b)), dtype=np.complex128)
+    if len(a) <= len(b):
+        np.multiply(a[:, None], b, out=out)
+    else:
+        for j in range(len(b)):
+            np.multiply(a, b[j], out=out[:, j])
+    return out.reshape(-1)
 
 
 def permute(s: StateVector, new_order: Sequence[str]) -> StateVector:
@@ -281,8 +318,8 @@ def born_distribution(s: StateVector, b: BasisSpec) -> dict[Label, float]:
     _, flat = _target_rows(s, b)
     out: dict[Label, float] = {}
     total = 0.0
-    for label, vec in zip(b.labels, b.vectors):
-        residual = vec.conj() @ flat
+    for label, row in zip(b.labels, b.conjugate):
+        residual = row @ flat
         p = float(np.vdot(residual, residual).real)
         total += p
         out[label] = p
@@ -296,11 +333,9 @@ def _component(s: StateVector, b: BasisSpec, outcome: Label) -> tuple[tuple[int,
     the state's rows contracted with its conjugate, and that residual's
     squared norm, the outcome's probability."""
     perm, flat = _target_rows(s, b)
-    try:
-        vec = b.vectors[b.labels.index(outcome)]
-    except ValueError:
-        raise KeyError(f"unknown outcome {outcome!r}") from None
-    residual = vec.conj() @ flat
+    row = b.row(outcome)
+    vec = b.vectors[row]
+    residual = b.conjugate[row] @ flat
     p = float(np.vdot(residual, residual).real)
     if p <= PROB_EPS:
         raise ZeroProbabilityError(f"outcome {outcome!r} has probability {p!r}; cannot project")

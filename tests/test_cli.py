@@ -651,6 +651,22 @@ class TestEnvelope:
         code, out, err = invoke(capsys)
         assert code == 1
 
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            args = ("check", "cpl", "--c", "0.3,0.7", "--ra", "1", "--format", "json")
+            first = invoke(capsys, *args)
+            # a usage error and an early exit leave the parser as it was
+            assert invoke(capsys, "run", str(SCENARIOS / "cpl.wfs"), "--rules", "bogus")[0] == 1
+            assert invoke(capsys, "--version")[0] == 0
+            assert invoke(capsys, *args) == first
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+
 
 class TestSubprocessEntry:
     def test_module_invocation_matches_in_process(self, capsys):

@@ -1305,6 +1305,10 @@ class TestMarginalPastTheLimit:
         assert dims == []
 
 
+def _state_bytes(state) -> bytes:
+    return (state.amplitudes if isinstance(state, qcore.StateVector) else state.matrix).tobytes()
+
+
 class TestPlanCache:
     """Each scenario object is validated once and compiled once per rule set."""
 
@@ -1405,6 +1409,65 @@ class TestPlanCache:
         for call in (lambda: it.exact_joint(listed, rules), lambda: it.perspective(listed, rules, "w")):
             with pytest.raises(ValueError, match="unknown observer 'nobody'"):
                 call()
+
+    def test_plan_tables_stop_growing_once_warm(self):
+        s = _chain(TestChain.PROBS8[:7])
+        for rules in (it.RuleSet.orthodox(), it.RuleSet.rqm5(), it.RuleSet.rqm5_cpl()):
+            it.exact_joint(s, rules)
+            it.run(s, rules, seed=0)
+            comp = it._plan(s, rules)
+            # layouts: each friend's merged (S_i, f_i.A) and residual S_i, and the
+            # whole layout of the perspectives; pointers: one per record and label
+            assert (len(comp.layouts), len(comp.pointers)) == (15, 14)
+            for seed in range(1, 16):
+                it.exact_joint(s, rules)
+                it.run(s, rules, seed=seed)
+            assert (len(comp.layouts), len(comp.pointers)) == (15, 14)
+
+    @pytest.mark.parametrize("rules", RULE_VARIANTS, ids=lambda r: f"{r.kind}-{r.fact_holder}")
+    def test_a_warm_plan_answers_as_a_fresh_one(self, rules):
+        def answers(scenario):
+            """Each answer as exact bytes, every call on ``scenario()``."""
+            table = it.exact_joint(scenario(), rules)
+            out = [[(row, p.hex()) for row, p in table.items()]]
+            for seed in range(4):
+                result = it.run(scenario(), rules, seed=seed)
+                out.append((result.results, result.ledger, result.pins, result.anomalies,
+                            [(name, _state_bytes(view.state), view.knowledge)
+                             for name, view in result.perspectives.items()]))
+            for observer in ("f1", "f4", "w"):
+                view = it.perspective(scenario(), rules, observer)
+                out.append((_state_bytes(view.state), view.knowledge))
+            for given in (None, {"f2.A": 1}):
+                dist = it.predicted_distribution(scenario(), rules, "w", "r2", given)
+                out.append([(label, p.hex()) for label, p in dist.items()])
+            return out
+
+        warm = _chain(TestChain.PROBS)
+        answers(lambda: warm)  # fills the plan's layout and pointer tables
+        tables = it._plan(warm, rules)
+        assert tables.layouts and tables.pointers
+        assert answers(lambda: warm) == answers(lambda: _chain(TestChain.PROBS))
+
+    def test_shared_pointer_factors_merge_no_mixture_node(self, monkeypatch):
+        # alice's rqm5 view of epr mixes four branches that hold two states: her
+        # fact projects the branches where it agrees with bob's result and leaves
+        # the others alone.  All four hold the plan's factor for bob's SB pointer,
+        # yet the mixture groups branches by factor identity, so they stay four nodes
+        rules = it.RuleSet.rqm5()
+        seen = []
+        mixture = it._mixture
+        monkeypatch.setattr(it, "_mixture", lambda comp, states: seen.append((comp, states)) or mixture(comp, states))
+        s = sc.parse(sc.bundled_scenario_text("epr"))
+        views = [it.perspective(s, rules, "alice") for _ in range(3)]
+        views.append(it.perspective(sc.parse(sc.bundled_scenario_text("epr")), rules, "alice"))
+        assert len(seen) == 4
+        for comp, states in seen:
+            pointers = list(comp.pointers.values())
+            assert all(any(f is ptr for f in state for ptr in pointers) for _, state in states)
+            assert len({state for _, state in states}) == len(states) == 4
+            assert len({tuple(f.amplitudes.tobytes() for f in dict.fromkeys(state)) for _, state in states}) == 2
+        assert len({_state_bytes(view.state) for view in views}) == 1
 
     def test_equal_scenarios_keep_their_own_plans(self):
         # labels 1 and 1.0 compare equal, so the two scenarios do too, yet

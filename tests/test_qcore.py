@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,6 +35,42 @@ def test_tensor_basis_states_big_endian():
     # first-declared subsystem varies slowest
     assert np.allclose(qc.tensor(a, c).amplitudes, [0, 1, 0, 0])
     assert np.allclose(qc.tensor(c, a).amplitudes, [0, 0, 1, 0])
+
+
+_PHASED = st.integers(1, 64).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n),
+    st.lists(st.floats(0.125, 1.0), min_size=n, max_size=n),
+)).map(lambda drawn: np.array(drawn[1]) * np.exp(1j * np.array(drawn[0])))
+
+
+def _equals_multiply_outer(outer, a, b) -> bool:
+    return outer(a, b).tobytes() == np.multiply.outer(a, b).ravel().tobytes()
+
+
+@given(_PHASED, _PHASED)
+@example(np.exp(1j * np.arange(8.0)), np.exp(1j * np.arange(2.0)))  # b shorter: one call per column
+@example(np.exp(1j * np.arange(2.0)), np.exp(1j * np.arange(8.0)))  # a shorter: one broadcast call
+@settings(max_examples=100, deadline=None)
+def test_outer_is_bit_equal_to_multiply_outer(a, b):
+    # both operand orders, so each draw runs both loop directions when the lengths differ
+    assert _equals_multiply_outer(qc.outer, a, b)
+    assert _equals_multiply_outer(qc.outer, b, a)
+
+
+def test_outer_property_rejects_a_commuted_product():
+    # b[j] * a[i] rounds differently from a[i] * b[j] where numpy's complex
+    # multiply fuses a multiply-add (numpy 2.4 on x86-64 with FMA); where it
+    # rounds both alike the commuted form is exact and there is nothing to reject
+    x, y = np.exp(1j * np.arange(1.0, 65.0)), np.exp(0.5j * np.arange(1.0, 65.0))
+    if (x * y).tobytes() == (y * x).tobytes():
+        pytest.skip("complex multiplication rounds a*b and b*a alike here")
+
+    def commuted(a, b):
+        return np.multiply.outer(b, a).T.ravel()
+
+    a, b = find(st.tuples(_PHASED, _PHASED), lambda pair: not _equals_multiply_outer(commuted, *pair),
+                settings=settings(database=None, phases=[Phase.generate]))
+    assert commuted(a, b).tobytes() != qc.outer(a, b).tobytes()
 
 
 def test_tensor_rejects_duplicate_ids():
